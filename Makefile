@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race live-race crash-race shard-race prefilter-race vet lint alloc-gate docscheck ci bench-obs bench-serve bench-prefilter
+.PHONY: build test race live-race crash-race shard-race prefilter-race vet lint alloc-gate docscheck bench-selftest fuzz-smoke ci bench-obs bench-serve bench-prefilter
 
 build:
 	$(GO) build ./...
@@ -45,9 +45,9 @@ prefilter-race:
 # binary as a real csced and SIGKILL it mid-mutation-storm. TestCrashRecovery
 # verifies the restart recovers the exact seq/epoch and vertex/edge/match
 # counts; TestCrashResumeSubscription kills the daemon under a live
-# subscriber and proves the persisted resume log makes the restart
-# transparent: the resumed stream satisfies count = before + Σdeltas −
-# Σretractions across the crash. See cmd/csced/crash_test.go.
+# subscriber and proves the resume window rebuilt from the log makes the
+# restart transparent: the resumed stream satisfies count = before +
+# Σdeltas − Σretractions across the crash. See cmd/csced/crash_test.go.
 crash-race:
 	$(GO) test -race -run 'TestCrash' ./cmd/csced
 
@@ -74,7 +74,20 @@ alloc-gate:
 docscheck:
 	$(GO) run ./cmd/cscedocs
 
-ci: build vet lint alloc-gate docscheck test race live-race crash-race shard-race prefilter-race
+# benchmark/ is its own module (it imports internal/* through a replace
+# directive), so the tier-1 `go test ./...` never compiles it: vet and its
+# own tests run here, so an internal API change that breaks the benchmark
+# fails ci instead of the benchmark pipeline.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Ten seconds of native fuzzing over the WAL's one frame scanner and record
+# decoder, on top of the seed corpus in internal/live/testdata/fuzz (which
+# every plain `go test` run already replays).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 10s ./internal/live
+
+ci: build vet lint alloc-gate docscheck test race live-race crash-race shard-race prefilter-race bench-selftest fuzz-smoke
 
 # Observability hot-path benchmarks plus the enforced budgets: <50ns/op on
 # histogram recording and <150ns/op on the span-export enqueue — the two

@@ -333,13 +333,12 @@ type subEvent struct {
 }
 
 // TestCrashResumeSubscription SIGKILLs csced while a subscriber is
-// streaming and proves the restart is transparent to it: the persisted
-// resume log lets the subscriber resume from its last received commit on
-// the restarted process, and the ledger it accumulates across BOTH
-// processes satisfies count = before + Σdeltas − Σretractions against the
-// recovered graph. The storm toggles one A–A edge so retractions are a
-// first-class part of the equation, and runs under -checkpoint-mode
-// incremental so the drill also recovers through a base + chain + tail.
+// streaming and proves the restart is transparent to it: the resume
+// window rebuilt from the log lets the subscriber resume from its last
+// received commit on the restarted process, and the ledger it accumulates
+// across BOTH processes satisfies count = before + Σdeltas − Σretractions
+// against the recovered graph. The storm toggles one A–A edge so
+// retractions are a first-class part of the equation.
 func TestCrashResumeSubscription(t *testing.T) {
 	graphPath := writeTempGraph(t)
 	walDir := t.TempDir()
@@ -350,7 +349,6 @@ func TestCrashResumeSubscription(t *testing.T) {
 		"-fsync", "always",
 		"-segment-size", "8192",
 		"-wal-keep-segments", "2",
-		"-checkpoint-mode", "incremental",
 		"-log-level", "off",
 	}
 	d1 := spawnDaemon(t, args...)

@@ -122,7 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		fsyncIv  = fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
 		segSize  = fs.Int64("segment-size", 4<<20, "durable-WAL segment rotation threshold in bytes")
 		segKeep  = fs.Int("wal-keep-segments", 4, "sealed segments kept before a checkpoint truncates the log")
-		ckMode   = fs.String("checkpoint-mode", "full", "checkpoint strategy: full (serialize the store) or incremental (chain covered segments)")
 		debugAdr = fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
 		logLevel = fs.String("log-level", "info", "structured-log level on stderr (debug, info, warn, error, off)")
 		shardsN  = fs.Int("shards", 0, "partition every loaded graph into K shards behind a scatter-gather coordinator (0 serves single-store)")
@@ -147,10 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		return err
 	}
 	fsync, err := live.ParseFsyncPolicy(*fsyncPol)
-	if err != nil {
-		return err
-	}
-	ckpt, err := live.ParseCheckpointMode(*ckMode)
 	if err != nil {
 		return err
 	}
@@ -204,7 +199,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		WALFsyncInterval:     *fsyncIv,
 		WALSegmentSize:       *segSize,
 		WALKeepSegments:      *segKeep,
-		WALCheckpointMode:    ckpt,
 		Logger:               logger,
 		TraceExporter:        exporter,
 		TraceRingSize:        *traceRg,
@@ -250,10 +244,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 				continue
 			}
 			rec := e.Live.Recovery()
-			fmt.Fprintf(stdout, "csced: wal %s: recovered seq=%d epoch=%d (checkpoint=%v chain=%d replayed=%d torn_tail=%v resume=%v resume_oldest=%d in %v)\n",
-				e.Name, rec.RecoveredSeq, rec.RecoveredEpoch, rec.HasCheckpoint, rec.ChainSegments,
+			var upgraded string
+			if rec.UpgradedLayout {
+				upgraded = "; upgraded the directory: .inc chain files renamed to .wal, resume/ removed"
+			}
+			fmt.Fprintf(stdout, "csced: wal %s: recovered seq=%d epoch=%d (checkpoint=%v replayed=%d torn_tail=%v resume=%v resume_oldest=%d in %v%s)\n",
+				e.Name, rec.RecoveredSeq, rec.RecoveredEpoch, rec.HasCheckpoint,
 				rec.ReplayedRecords, rec.TornTail, rec.ResumeWindowRestored, rec.ResumeOldestSeq,
-				rec.Duration.Round(time.Microsecond))
+				rec.Duration.Round(time.Microsecond), upgraded)
 		}
 	}
 

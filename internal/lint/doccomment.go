@@ -7,14 +7,14 @@ import (
 )
 
 // DocComment enforces godoc discipline on the durability surface. The
-// persisted resume log and the incremental checkpoint chain turned
+// durable log and the restart-transparent resume window turned
 // internal/live into the package operators reason about during recovery,
 // and internal/prefilter exports the admission-signature API the server
 // composes; both are read far more often than they are edited, usually
 // under incident pressure. An exported identifier without a doc comment
 // there forces the reader back into the implementation to learn a
-// contract (what a CheckpointMode means for data loss, when a resume
-// window is Lost versus Restored) that should be one hover away.
+// contract (what an FsyncPolicy means for data loss, when a resume
+// window counts as Restored) that should be one hover away.
 //
 // The rule, per in-scope package:
 //

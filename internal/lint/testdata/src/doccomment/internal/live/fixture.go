@@ -18,7 +18,7 @@ func (s *Store) Close() error { return nil } // want `exported method Store.Clos
 
 type Window struct{} // want `exported type Window has no doc comment on its declaration or group`
 
-// CheckpointMode is documented at the group level, which covers it.
+// FsyncMode is documented at the group level, which covers it.
 type (
 	// Mode selects a strategy.
 	Mode int

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,14 +18,13 @@ import (
 	"csce/internal/ccsr"
 )
 
-// Disk-backed write-ahead log: the durability layer under the in-memory
-// mutation log. Layout of a WAL directory (one per live graph):
+// Disk-backed write-ahead log: the one durable structure of a live graph.
+// A WAL directory (one per graph) holds a segmented record log and at most
+// one checkpoint:
 //
-//	<dir>/00000000000000000001.wal   segment; name = first seq it holds
-//	<dir>/00000000000000004097.wal   ...
-//	<dir>/checkpoint                 latest base checkpoint (optional)
-//	<dir>/00000000000000002049.inc      incremental checkpoint chain
-//	<dir>/resume/                    persisted resume log (rlog.go)
+//	<dir>/checkpoint                 store serialized at checkpointed-through
+//	<dir>/00000000000000004097.wal   sealed segment; name = first seq it holds
+//	<dir>/00000000000000008193.wal   active segment (appends land here)
 //
 // Each segment starts with an 8-byte magic and holds length-prefixed,
 // CRC-checksummed records:
@@ -39,27 +39,23 @@ import (
 // the id — is the stable identity across restarts. Replay prefers the
 // name and falls back to the raw id for nameless (programmatic) records.
 //
-// The checkpoint file bounds both replay time and disk usage: once more
-// than KeepSegments sealed segments accumulate, the graph serializes its
-// current store (seq S, epoch E) through writeCheckpoint, and every sealed
-// segment that holds only records <= S is deleted. Recovery loads the
-// checkpoint (if any) and replays the remaining segments on top.
+// Three watermarks over the seq axis say what each part of the log is for:
 //
-// Durability.CheckpointMode selects how that cycle pays for itself.
-// CheckpointFull rewrites the whole store every time. CheckpointIncremental
-// instead *renames* each newly covered sealed segment to NNN.inc,
-// extending a checkpoint chain rooted at the base file: the cycle is O(1)
-// in store size because the chain reuses already-fsynced WAL bytes as
-// checkpoint content. Recovery replays chain and live segments merged in
-// firstSeq order; a torn tail is legal only in the final live segment.
-// Once the chain would exceed Durability.ChainMax the next cycle falls
-// back to one full serialization, which absorbs and deletes the chain.
+//	checkpointed-through <= resumable-from <= durable-through <= last seq
 //
-// The resume/ subdirectory holds the persisted resume log (rlog.go): the
-// subscriber-resume window, written in the commit path right after the WAL
-// append, so ?from_seq replay survives restarts. It is a convenience tier,
-// not a durability tier — recovery gap-fills any lost tail from the WAL,
-// and damage beyond a torn tail is healed by deleting the directory.
+// durable-through is the last fsynced seq (the last acknowledged one under
+// FsyncAlways). resumable-from is the oldest seq a subscriber may resume
+// at: the in-memory ring holds every later record and Graph.resumeBase is
+// the state at exactly that seq. checkpointed-through is the seq of the
+// checkpoint file. The checkpoint is always taken AT resumable-from — it
+// serializes resumeBase, not the head — so the one file is both the crash-
+// recovery base and the resume base: recovery loads it and replays the log
+// through the same ring-append-and-fold path Mutate uses, which rebuilds
+// writer, ring and resume base in one pass. Retention is "delete sealed
+// segments wholly below checkpointed-through"; a checkpoint is written
+// once more than KeepSegments sealed segments sit wholly below
+// resumable-from, so a log shorter than the resume window is never
+// truncated.
 //
 // A crash can leave a torn tail: a partially written frame at the end of
 // the *final* segment. Replay detects it (short frame or CRC mismatch),
@@ -73,9 +69,9 @@ const (
 	segmentMagic    = "CSCEWAL1"
 	checkpointMagic = "CSCECKP1"
 	segmentSuffix   = ".wal"
-	chainSuffix     = ".inc"
 	checkpointName  = "checkpoint"
 	frameHeaderLen  = 8       // u32 length + u32 crc
+	minRecordLen    = 29      // fixed payload fields; a name may follow
 	maxRecordLen    = 1 << 20 // sanity bound on one payload
 )
 
@@ -124,48 +120,6 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	}
 }
 
-// CheckpointMode selects how retention turns sealed segments into a
-// bounded recovery state.
-type CheckpointMode uint8
-
-const (
-	// CheckpointFull serializes the whole store every time retention
-	// triggers: recovery loads one checkpoint plus the remaining segments,
-	// but each checkpoint costs O(graph).
-	CheckpointFull CheckpointMode = iota
-	// CheckpointIncremental writes the full store once (the base), then
-	// advances by renaming covered segments into the checkpoint chain — an
-	// O(1) metadata operation per cycle regardless of graph size. Recovery
-	// loads base + chain + remaining segments. Once the chain exceeds
-	// Durability.ChainMax files, the next cycle rewrites the base and
-	// drops the chain, bounding both replay time and disk usage.
-	CheckpointIncremental
-)
-
-// String renders the mode as its flag spelling.
-func (m CheckpointMode) String() string {
-	switch m {
-	case CheckpointFull:
-		return "full"
-	case CheckpointIncremental:
-		return "incremental"
-	default:
-		return fmt.Sprintf("CheckpointMode(%d)", uint8(m))
-	}
-}
-
-// ParseCheckpointMode parses the -checkpoint-mode flag spelling.
-func ParseCheckpointMode(s string) (CheckpointMode, error) {
-	switch s {
-	case "full":
-		return CheckpointFull, nil
-	case "incremental":
-		return CheckpointIncremental, nil
-	default:
-		return 0, fmt.Errorf("live: unknown checkpoint mode %q (full, incremental)", s)
-	}
-}
-
 // Durability configures the disk WAL of one live graph. The zero value
 // (empty Dir) disables it: the graph is purely in-memory, as before.
 type Durability struct {
@@ -178,17 +132,11 @@ type Durability struct {
 	// SegmentSize rotates the active segment once it exceeds this many
 	// bytes (default 4 MiB).
 	SegmentSize int64
-	// KeepSegments is how many sealed segments may accumulate before a
-	// checkpoint is written and fully-covered segments are deleted
-	// (default 4).
+	// KeepSegments is how many sealed segments may sit wholly below the
+	// resumable-from watermark before a checkpoint is written there and
+	// they are deleted (default 4). Raising it amortizes one store
+	// serialization over more log, at the price of a longer replay.
 	KeepSegments int
-	// CheckpointMode selects full-store checkpoints (default) or the
-	// incremental base+chain scheme.
-	CheckpointMode CheckpointMode
-	// ChainMax bounds the incremental-checkpoint chain: once the chain
-	// reaches this many files, the next checkpoint rewrites the full base
-	// and drops them (default 16). Ignored under CheckpointFull.
-	ChainMax int
 }
 
 func (d Durability) withDefaults() Durability {
@@ -200,9 +148,6 @@ func (d Durability) withDefaults() Durability {
 	}
 	if d.KeepSegments <= 0 {
 		d.KeepSegments = 4
-	}
-	if d.ChainMax <= 0 {
-		d.ChainMax = 16
 	}
 	return d
 }
@@ -222,9 +167,10 @@ type Observer struct {
 	WALCheckpoint func(time.Duration)
 	// ResumeReplay observes each subscriber resume replay.
 	ResumeReplay func(time.Duration)
-	// ResumeLogAppend observes the resume-log append of each committed
-	// batch (buffered write, no fsync; rides the commit path after the
-	// WAL append).
+	// ResumeLogAppend observes the resume-window maintenance of each
+	// committed batch: the ring append plus rolling the resume base over
+	// whatever retention pushed out (it rides the commit path after the
+	// WAL append). The name predates the one-log layout.
 	ResumeLogAppend func(time.Duration)
 	// SigMaintain observes the prefilter-signature maintenance of each
 	// committed batch (it rides inside the commit critical section).
@@ -261,9 +207,8 @@ type diskWAL struct {
 	cur         *os.File
 	curInfo     segmentInfo
 	sealed      []segmentInfo
-	chain       []segmentInfo // incremental-checkpoint chain (.inc), seq order
-	hasBase     bool          // a checkpoint file exists on disk
-	dirty       bool          // bytes written since the last sync
+	dirty       bool  // bytes written since the last sync
+	failed      error // latched: a refused append could not be rolled back
 	fsyncs      uint64
 	checkpoints uint64
 	closed      bool
@@ -274,79 +219,116 @@ type diskWAL struct {
 
 // openDiskWAL scans (creating if needed) the WAL directory. The returned
 // WAL is not yet writable: recovery must call replay and then openAppend.
-func openDiskWAL(opts Durability, obs Observer) (*diskWAL, error) {
+//
+// The scan doubles as the one-shot upgrade from the layout that had an
+// incremental-checkpoint chain and a resume log: an NNN.inc chain file is
+// a sealed segment under another name and is renamed back, and resume/
+// held a second copy of records the log already has and is removed.
+// upgraded reports that either happened.
+func openDiskWAL(opts Durability, obs Observer) (d *diskWAL, upgraded bool, err error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("live: wal dir: %w", err)
+		return nil, false, fmt.Errorf("live: wal dir: %w", err)
 	}
-	d := &diskWAL{dir: opts.Dir, opts: opts, obs: obs}
+	d = &diskWAL{dir: opts.Dir, opts: opts, obs: obs}
 	entries, err := os.ReadDir(opts.Dir)
 	if err != nil {
-		return nil, fmt.Errorf("live: wal dir: %w", err)
+		return nil, false, fmt.Errorf("live: wal dir: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
+		path := filepath.Join(opts.Dir, name)
 		if e.IsDir() {
+			if name == "resume" {
+				if err := os.RemoveAll(path); err != nil {
+					return nil, false, fmt.Errorf("live: wal upgrade: %w", err)
+				}
+				upgraded = true
+			}
 			continue
 		}
-		var suffix string
-		switch {
-		case strings.HasSuffix(name, segmentSuffix):
-			suffix = segmentSuffix
-		case strings.HasSuffix(name, chainSuffix):
-			suffix = chainSuffix
-		default:
+		if stem, ok := strings.CutSuffix(name, ".inc"); ok {
+			name = stem + segmentSuffix
+			renamed := filepath.Join(opts.Dir, name)
+			if err := os.Rename(path, renamed); err != nil {
+				return nil, false, fmt.Errorf("live: wal upgrade: %w", err)
+			}
+			path, upgraded = renamed, true
+		}
+		stem, ok := strings.CutSuffix(name, segmentSuffix)
+		if !ok {
 			continue
 		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(name, suffix), 10, 64)
+		first, err := strconv.ParseUint(stem, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("live: wal segment %q: bad name", name)
+			return nil, false, fmt.Errorf("live: wal segment %q: bad name", name)
 		}
-		info, err := e.Info()
+		info, err := os.Stat(path)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		seg := segmentInfo{
-			path:     filepath.Join(opts.Dir, name),
-			firstSeq: first,
-			size:     info.Size(),
-		}
-		if suffix == chainSuffix {
-			d.chain = append(d.chain, seg)
-		} else {
-			d.sealed = append(d.sealed, seg)
-		}
+		d.sealed = append(d.sealed, segmentInfo{path: path, firstSeq: first, size: info.Size()})
 	}
 	sort.Slice(d.sealed, func(i, j int) bool { return d.sealed[i].firstSeq < d.sealed[j].firstSeq })
-	sort.Slice(d.chain, func(i, j int) bool { return d.chain[i].firstSeq < d.chain[j].firstSeq })
-	return d, nil
+	return d, upgraded, nil
 }
 
 func segmentPath(dir string, firstSeq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%020d%s", firstSeq, segmentSuffix))
 }
 
-// recordBodyLen is the number of payload bytes putRecordBody writes for r.
-func recordBodyLen(r Record) int {
-	if r.Mut.LabelNamed {
-		return 29 + len(r.Mut.LabelName)
+// syncDir fsyncs a directory, making the creations, renames and deletions
+// inside it durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return 29
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// putRecordBody serializes one record into payload, which must be exactly
-// recordBodyLen(r) bytes. The name-length field is biased by one: 0 means
-// "unnamed" (replay trusts the raw label id), n+1 means a name of n bytes
-// follows — an interned empty name is a real label and must survive the
-// round trip distinct from "no name". Shared by the WAL segment format and
-// the resume log (rlog.go), which wraps the same body in a kind byte.
-func putRecordBody(payload []byte, r Record) {
+// createSegment creates the segment that will hold nextSeq onward, writes
+// its header, and syncs the directory so the entry survives a power cut
+// together with the acknowledged records it is about to hold. A failure
+// leaves no file behind, so the caller may simply try again.
+func createSegment(dir string, nextSeq uint64) (*os.File, segmentInfo, error) {
+	path := segmentPath(dir, nextSeq)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, segmentInfo{}, err
+	}
+	_, err = f.WriteString(segmentMagic)
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = os.Remove(path)
+		return nil, segmentInfo{}, err
+	}
+	return f, segmentInfo{path: path, firstSeq: nextSeq, size: int64(len(segmentMagic))}, nil
+}
+
+// encodeRecord appends one framed record (header + payload) to buf. The
+// name-length field is biased by one: 0 means "unnamed" (replay trusts the
+// raw label id), n+1 means a name of n bytes follows — an interned empty
+// name is a real label and must survive the round trip distinct from "no
+// name".
+func encodeRecord(buf []byte, r Record) []byte {
 	var name string
 	nameField := uint16(0)
 	if r.Mut.LabelNamed {
 		name = r.Mut.LabelName
 		nameField = uint16(len(name)) + 1
 	}
+	payloadLen := minRecordLen + len(name)
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeaderLen+payloadLen)...)
+	payload := buf[start+frameHeaderLen:]
 	le := binary.LittleEndian
 	le.PutUint64(payload[0:], r.Seq)
 	le.PutUint64(payload[8:], r.Epoch)
@@ -359,24 +341,15 @@ func putRecordBody(payload []byte, r Record) {
 	}
 	le.PutUint16(payload[25:], label)
 	le.PutUint16(payload[27:], nameField)
-	copy(payload[29:], name)
-}
-
-// encodeRecord appends one framed record (header + body) to buf.
-func encodeRecord(buf []byte, r Record) []byte {
-	payloadLen := recordBodyLen(r)
-	start := len(buf)
-	buf = append(buf, make([]byte, frameHeaderLen+payloadLen)...)
-	payload := buf[start+frameHeaderLen:]
-	putRecordBody(payload, r)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	copy(payload[minRecordLen:], name)
+	le.PutUint32(buf[start:], uint32(payloadLen))
+	le.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
 // decodeRecord parses one payload (already CRC-verified).
 func decodeRecord(payload []byte) (Record, error) {
-	if len(payload) < 29 {
+	if len(payload) < minRecordLen {
 		return Record{}, fmt.Errorf("payload too short (%d bytes)", len(payload))
 	}
 	le := binary.LittleEndian
@@ -397,31 +370,29 @@ func decodeRecord(payload []byte) (Record, error) {
 	}
 	nameField := int(le.Uint16(payload[27:]))
 	if nameField == 0 {
-		if len(payload) != 29 {
+		if len(payload) != minRecordLen {
 			return Record{}, fmt.Errorf("payload length %d for unnamed record", len(payload))
 		}
 		return r, nil
 	}
-	if len(payload) != 29+nameField-1 {
+	if len(payload) != minRecordLen+nameField-1 {
 		return Record{}, fmt.Errorf("payload length %d does not match name length %d", len(payload), nameField-1)
 	}
-	r.Mut.LabelName = string(payload[29:])
+	r.Mut.LabelName = string(payload[minRecordLen:])
 	r.Mut.LabelNamed = true
 	return r, nil
 }
 
-// readSegment streams the records of one segment file. It returns the
-// byte offset of the first invalid frame together with errTornTail when
-// the segment ends mid-frame or fails its checksum; validEnd is then the
-// truncation point that recovers the longest valid prefix.
-func readSegment(path string, fn func(Record) error) (validEnd int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
+// scanSegment streams the records of one segment image: the only reader
+// of the frame format. It returns the byte offset of the first invalid
+// frame together with errTornTail when the image ends mid-frame or a frame
+// fails its length, checksum or payload checks; validEnd is then the
+// truncation point that keeps the longest valid prefix (0 when even the
+// header is incomplete). No frame makes it allocate more than
+// maxRecordLen.
+func scanSegment(r io.Reader, fn func(Record) error) (validEnd int64, err error) {
 	magic := make([]byte, len(segmentMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return 0, fmt.Errorf("%w: missing segment header", errTornTail)
 	}
 	if string(magic) != segmentMagic {
@@ -431,23 +402,22 @@ func readSegment(path string, fn func(Record) error) (validEnd int64, err error)
 	header := make([]byte, frameHeaderLen)
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, header); err != nil {
+		if _, err := io.ReadFull(r, header); err != nil {
 			if err == io.EOF {
 				return offset, nil // clean end
 			}
 			return offset, errTornTail // partial frame header
 		}
-		le := binary.LittleEndian
-		length := le.Uint32(header[0:])
-		crc := le.Uint32(header[4:])
-		if length < 29 || length > maxRecordLen {
+		length := binary.LittleEndian.Uint32(header[0:])
+		crc := binary.LittleEndian.Uint32(header[4:])
+		if length < minRecordLen || length > maxRecordLen {
 			return offset, errTornTail
 		}
 		if cap(payload) < int(length) {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return offset, errTornTail // partial payload
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
@@ -465,56 +435,58 @@ func readSegment(path string, fn func(Record) error) (validEnd int64, err error)
 }
 
 // replay streams every record with Seq > afterSeq, in order, across the
-// incremental-checkpoint chain and then the segments (chain files are
-// renamed segments, so one pass covers base + chain + log tail). A torn
-// tail in the final segment is truncated away (reported via torn); any
-// invalid frame earlier — including anywhere in a chain file, which was
-// sealed and synced before it was renamed — is corruption and fails
-// recovery. Sequence numbers are verified gapless across file boundaries.
-func (d *diskWAL) replay(afterSeq uint64, fn func(Record) error) (lastSeq uint64, replayed int, torn bool, err error) {
-	lastSeq = afterSeq
+// segments. A torn tail in the final segment is cut away (reported via
+// torn): the file is truncated back to its last whole record, or removed
+// when the crash hit before even its header was written, so the appends
+// that follow always land behind a valid header. Any invalid frame
+// earlier is corruption and fails recovery. Sequence numbers are verified
+// gapless from afterSeq on and across file boundaries.
+func (d *diskWAL) replay(afterSeq uint64, fn func(Record) error) (replayed int, torn bool, err error) {
 	prevSeq := uint64(0)
-	files := make([]segmentInfo, 0, len(d.chain)+len(d.sealed))
-	files = append(files, d.chain...)
-	files = append(files, d.sealed...)
-	sort.SliceStable(files, func(i, j int) bool { return files[i].firstSeq < files[j].firstSeq })
-	for i, seg := range files {
-		final := i == len(files)-1 && strings.HasSuffix(seg.path, segmentSuffix)
-		validEnd, segErr := readSegment(seg.path, func(rec Record) error {
+	for i, seg := range d.sealed {
+		base := filepath.Base(seg.path)
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return replayed, false, err
+		}
+		validEnd, segErr := scanSegment(bufio.NewReader(f), func(rec Record) error {
+			if prevSeq == 0 && rec.Seq > afterSeq+1 {
+				return fmt.Errorf("sequence gap: the log starts at %d but the checkpoint ends at %d", rec.Seq, afterSeq)
+			}
 			if prevSeq != 0 && rec.Seq != prevSeq+1 {
-				return fmt.Errorf("sequence gap: %d follows %d in %s", rec.Seq, prevSeq, filepath.Base(seg.path))
+				return fmt.Errorf("sequence gap: %d follows %d", rec.Seq, prevSeq)
 			}
 			prevSeq = rec.Seq
 			if rec.Seq <= afterSeq {
 				return nil
 			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			lastSeq = rec.Seq
 			replayed++
-			return nil
+			return fn(rec)
 		})
-		if errors.Is(segErr, errTornTail) {
-			if !final {
-				return lastSeq, replayed, false, fmt.Errorf(
-					"live: wal segment %s is corrupt mid-log (not a crash tail); refusing to recover a gapped history", filepath.Base(seg.path))
+		_ = f.Close() // read-only handle
+		if !errors.Is(segErr, errTornTail) {
+			if segErr != nil {
+				return replayed, false, fmt.Errorf("live: wal segment %s: %w", base, segErr)
 			}
-			if terr := os.Truncate(seg.path, validEnd); terr != nil {
-				return lastSeq, replayed, false, fmt.Errorf("live: truncate torn tail: %w", terr)
-			}
-			for j := range d.sealed {
-				if d.sealed[j].path == seg.path {
-					d.sealed[j].size = validEnd
-				}
-			}
-			return lastSeq, replayed, true, nil
+			continue
 		}
-		if segErr != nil {
-			return lastSeq, replayed, false, fmt.Errorf("live: wal segment %s: %w", filepath.Base(seg.path), segErr)
+		if i != len(d.sealed)-1 {
+			return replayed, false, fmt.Errorf(
+				"live: wal segment %s is corrupt mid-log (not a crash tail); refusing to recover a gapped history", base)
 		}
+		if validEnd == 0 {
+			err = os.Remove(seg.path)
+			d.sealed = d.sealed[:i]
+		} else {
+			err = os.Truncate(seg.path, validEnd)
+			d.sealed[i].size = validEnd
+		}
+		if err != nil {
+			return replayed, false, fmt.Errorf("live: cut torn tail: %w", err)
+		}
+		return replayed, true, nil
 	}
-	return lastSeq, replayed, false, nil
+	return replayed, false, nil
 }
 
 // openAppend makes the WAL writable: the last scanned segment is reopened
@@ -533,20 +505,14 @@ func (d *diskWAL) openAppend(nextSeq uint64) error {
 			_ = f.Close()
 			return err
 		}
-		d.cur = f
-		d.curInfo = info
+		d.cur, d.curInfo = f, info
 		d.sealed = d.sealed[:n-1]
 	} else {
-		f, err := os.OpenFile(segmentPath(d.dir, nextSeq), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+		f, info, err := createSegment(d.dir, nextSeq)
 		if err != nil {
 			return err
 		}
-		if _, err := f.WriteString(segmentMagic); err != nil {
-			_ = f.Close()
-			return err
-		}
-		d.cur = f
-		d.curInfo = segmentInfo{path: f.Name(), firstSeq: nextSeq, size: int64(len(segmentMagic))}
+		d.cur, d.curInfo = f, info
 	}
 	if d.opts.Fsync == FsyncInterval {
 		d.stopFlush = make(chan struct{})
@@ -584,7 +550,12 @@ func (d *diskWAL) flushLoop() {
 // append writes one committed batch as a single write(2), syncs per
 // policy, and rotates the segment when it outgrew SegmentSize. Called
 // under the graph's writer lock, before the batch becomes visible: an
-// error here aborts the commit.
+// error here aborts the commit, so the append is all-or-nothing on disk.
+// When the write or its sync fails, whatever reached the file is cut away
+// again — otherwise the next commit would reuse the seq behind a stale or
+// torn frame and a restart would refuse, or silently drop, acknowledged
+// batches. If that rollback fails too the log latches shut and every
+// later commit is refused with the cause.
 func (d *diskWAL) append(recs []Record) error {
 	start := time.Now()
 	var buf []byte
@@ -599,121 +570,107 @@ func (d *diskWAL) append(recs []Record) error {
 	if d.closed {
 		return ErrClosed
 	}
-	if _, err := d.cur.Write(buf); err != nil {
-		return fmt.Errorf("live: wal append: %w", err)
+	if d.failed != nil {
+		return d.failed
 	}
-	d.curInfo.size += int64(len(buf))
-	switch d.opts.Fsync {
-	case FsyncAlways:
-		syncStart := time.Now()
-		if err := d.cur.Sync(); err != nil {
-			return fmt.Errorf("live: wal fsync: %w", err)
-		}
-		d.fsyncs++
-		observe(d.obs.WALFsync, syncStart)
-	default:
-		d.dirty = true
-	}
-	if d.curInfo.size >= d.opts.SegmentSize {
-		if err := d.rotateLocked(recs[len(recs)-1].Seq + 1); err != nil {
+	if d.curInfo.size >= d.opts.SegmentSize && d.curInfo.firstSeq < recs[0].Seq {
+		// The active segment is full and not empty: the rotation after the
+		// previous batch failed, or a restart reopened a full segment.
+		// Nothing of this batch is on disk yet, so refusing it is honest.
+		if err := d.rotateLocked(recs[0].Seq); err != nil {
 			return fmt.Errorf("live: wal rotate: %w", err)
 		}
+	}
+	if err := d.writeLocked(buf); err != nil {
+		rerr := d.cur.Truncate(d.curInfo.size)
+		if rerr == nil {
+			_, rerr = d.cur.Seek(d.curInfo.size, io.SeekStart)
+		}
+		if rerr != nil {
+			d.failed = fmt.Errorf("live: wal latched shut: a refused append could not be rolled back (%v) after: %w", rerr, err)
+		}
+		return err
+	}
+	d.curInfo.size += int64(len(buf))
+	if d.curInfo.size >= d.opts.SegmentSize {
+		// The batch is durable, so a rotation failure must not fail the
+		// commit (a restart would resurrect it): the oversized segment
+		// stays active and the next append retries.
+		_ = d.rotateLocked(recs[len(recs)-1].Seq + 1)
 	}
 	observe(d.obs.WALAppend, start)
 	return nil
 }
 
+// writeLocked writes one encoded batch to the active segment and syncs it
+// when the policy is FsyncAlways.
+func (d *diskWAL) writeLocked(buf []byte) error {
+	if _, err := d.cur.Write(buf); err != nil {
+		return fmt.Errorf("live: wal append: %w", err)
+	}
+	if d.opts.Fsync != FsyncAlways {
+		d.dirty = true
+		return nil
+	}
+	start := time.Now()
+	if err := d.cur.Sync(); err != nil {
+		return fmt.Errorf("live: wal fsync: %w", err)
+	}
+	d.fsyncs++
+	observe(d.obs.WALFsync, start)
+	return nil
+}
+
 // rotateLocked seals the active segment (sync + close) and opens a fresh
-// one whose name is the next sequence number to be written.
+// one whose name is the next sequence number to be written. On error the
+// active segment is untouched and still writable.
 func (d *diskWAL) rotateLocked(nextSeq uint64) error {
 	if err := d.cur.Sync(); err != nil {
 		return err
 	}
 	d.fsyncs++
-	if err := d.cur.Close(); err != nil {
-		return err
-	}
-	d.sealed = append(d.sealed, d.curInfo)
 	d.dirty = false
-	f, err := os.OpenFile(segmentPath(d.dir, nextSeq), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	f, info, err := createSegment(d.dir, nextSeq)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteString(segmentMagic); err != nil {
-		_ = f.Close()
-		return err
-	}
-	d.cur = f
-	d.curInfo = segmentInfo{path: f.Name(), firstSeq: nextSeq, size: int64(len(segmentMagic))}
+	_ = d.cur.Close() // synced above: a close error has nothing left to lose
+	d.sealed = append(d.sealed, d.curInfo)
+	d.cur, d.curInfo = f, info
 	return nil
 }
 
-// needsCheckpoint reports whether enough sealed segments accumulated for
-// retention to demand a checkpoint + truncation. Chain files do not
-// count: they are already part of the checkpoint state.
-func (d *diskWAL) needsCheckpoint() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.sealed) > d.opts.KeepSegments
-}
-
-// checkpoint applies the retention policy at (seq, epoch). Under
-// CheckpointFull — or before any base exists, or once the chain reached
-// ChainMax — the store is serialized as a fresh base and every covered
-// file is deleted. Otherwise the covered segments advance into the chain
-// by rename, costing O(1) per file instead of O(graph).
-func (d *diskWAL) checkpoint(st *ccsr.Store, seq, epoch uint64) error {
-	d.mu.Lock()
-	incremental := d.opts.CheckpointMode == CheckpointIncremental &&
-		d.hasBase && len(d.chain) < d.opts.ChainMax
-	d.mu.Unlock()
-	if incremental {
-		return d.advanceChain(seq)
-	}
-	return d.writeCheckpoint(st, seq, epoch)
-}
-
-// advanceChain is the incremental checkpoint: every sealed segment whose
-// records are all covered by seq is renamed into the chain. The renamed
-// file's records stay exactly where they were, so recovery's one replay
-// pass over chain + segments reconstructs the same state a full
-// checkpoint at seq would have captured — without serializing the store.
-func (d *diskWAL) advanceChain(seq uint64) error {
-	start := time.Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	kept := d.sealed[:0]
-	for i, seg := range d.sealed {
-		var upper uint64 // one past the last seq the segment can hold
+// coveredLocked counts the leading sealed segments whose records are all
+// <= seq. A sealed segment holds [firstSeq, next file's firstSeq).
+func (d *diskWAL) coveredLocked(seq uint64) int {
+	for i := range d.sealed {
+		upper := d.curInfo.firstSeq
 		if i+1 < len(d.sealed) {
 			upper = d.sealed[i+1].firstSeq
-		} else {
-			upper = d.curInfo.firstSeq
 		}
-		if upper != 0 && upper-1 <= seq {
-			dst := strings.TrimSuffix(seg.path, segmentSuffix) + chainSuffix
-			if err := os.Rename(seg.path, dst); err != nil {
-				kept = append(kept, d.sealed[i:]...)
-				d.sealed = kept
-				return err
-			}
-			seg.path = dst
-			d.chain = append(d.chain, seg)
-			continue
+		if upper-1 > seq {
+			return i
 		}
-		kept = append(kept, seg)
 	}
-	d.sealed = kept
-	d.checkpoints++
-	observe(d.obs.WALCheckpoint, start)
-	return nil
+	return len(d.sealed)
 }
 
-// writeCheckpoint atomically replaces the checkpoint file with a store
-// serialized at (seq, epoch), then deletes every sealed segment whose
-// records are all covered by it. st must be overlay-free or private to
-// the caller (Store.Encode compacts in place).
-func (d *diskWAL) writeCheckpoint(st *ccsr.Store, seq, epoch uint64) error {
+// needsCheckpoint reports whether more than KeepSegments sealed segments
+// sit wholly below the resumable-from watermark: a checkpoint there makes
+// all of them deletable.
+func (d *diskWAL) needsCheckpoint(resumableFrom uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.coveredLocked(resumableFrom) > d.opts.KeepSegments
+}
+
+// checkpoint atomically replaces the checkpoint file with st — the state
+// at exactly (seq, epoch) — and then deletes every sealed segment whose
+// records it covers. The rename is made durable before the first delete,
+// so no power cut can keep the deletions and lose the checkpoint they
+// rely on. st must be private to the caller (Store.Encode compacts in
+// place).
+func (d *diskWAL) checkpoint(st *ccsr.Store, seq, epoch uint64) error {
 	start := time.Now()
 	tmp := filepath.Join(d.dir, checkpointName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -724,15 +681,13 @@ func (d *diskWAL) writeCheckpoint(st *ccsr.Store, seq, epoch uint64) error {
 	copy(header, checkpointMagic)
 	binary.LittleEndian.PutUint64(header[len(checkpointMagic):], seq)
 	binary.LittleEndian.PutUint64(header[len(checkpointMagic)+8:], epoch)
-	if _, err := f.Write(header); err != nil {
-		_ = f.Close()
-		return err
+	if _, err = f.Write(header); err == nil {
+		err = st.Encode(f)
 	}
-	if err := st.Encode(f); err != nil {
-		_ = f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		_ = f.Close()
 		return err
 	}
@@ -742,49 +697,20 @@ func (d *diskWAL) writeCheckpoint(st *ccsr.Store, seq, epoch uint64) error {
 	if err := os.Rename(tmp, filepath.Join(d.dir, checkpointName)); err != nil {
 		return err
 	}
+	if err := syncDir(d.dir); err != nil {
+		return err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.checkpoints++
-	d.hasBase = true
-	// A sealed file holds records [firstSeq, next file's firstSeq); it is
-	// deletable once that whole range is <= seq. Chain files sit before
-	// every sealed segment in seq order, so their final upper bound is the
-	// first sealed segment (or the active one).
-	chainUpper := d.curInfo.firstSeq
-	if len(d.sealed) > 0 {
-		chainUpper = d.sealed[0].firstSeq
-	}
-	if d.chain, err = removeCovered(d.chain, chainUpper, seq); err != nil {
-		return err
-	}
-	if d.sealed, err = removeCovered(d.sealed, d.curInfo.firstSeq, seq); err != nil {
-		return err
+	for n := d.coveredLocked(seq); n > 0; n-- {
+		if err := os.Remove(d.sealed[0].path); err != nil {
+			return err
+		}
+		d.sealed = d.sealed[1:]
 	}
 	observe(d.obs.WALCheckpoint, start)
 	return nil
-}
-
-// removeCovered deletes every file of list whose records are all <= seq;
-// finalUpper is the exclusive seq bound of the last list entry.
-func removeCovered(list []segmentInfo, finalUpper, seq uint64) ([]segmentInfo, error) {
-	kept := list[:0]
-	for i, seg := range list {
-		var upper uint64
-		if i+1 < len(list) {
-			upper = list[i+1].firstSeq
-		} else {
-			upper = finalUpper
-		}
-		if upper != 0 && upper-1 <= seq {
-			if err := os.Remove(seg.path); err != nil {
-				kept = append(kept, list[i:]...)
-				return kept, err
-			}
-			continue
-		}
-		kept = append(kept, seg)
-	}
-	return kept, nil
 }
 
 // loadCheckpoint decodes the checkpoint file, if present.
@@ -810,15 +736,12 @@ func (d *diskWAL) loadCheckpoint() (st *ccsr.Store, seq, epoch uint64, ok bool, 
 	if err != nil {
 		return nil, 0, 0, false, fmt.Errorf("live: checkpoint store: %w", err)
 	}
-	d.mu.Lock()
-	d.hasBase = true
-	d.mu.Unlock()
 	return st, seq, epoch, true, nil
 }
 
-// diskStats reports segment count (sealed + active), chain file count,
-// total bytes of each, and the fsync/checkpoint counters.
-func (d *diskWAL) diskStats() (segments int, bytes int64, chainSegments int, chainBytes int64, fsyncs, checkpoints uint64) {
+// diskStats reports segment count (sealed + active), their total bytes,
+// and the fsync/checkpoint counters.
+func (d *diskWAL) diskStats() (segments int, bytes int64, fsyncs, checkpoints uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	segments = len(d.sealed)
@@ -829,11 +752,7 @@ func (d *diskWAL) diskStats() (segments int, bytes int64, chainSegments int, cha
 		segments++
 		bytes += d.curInfo.size
 	}
-	chainSegments = len(d.chain)
-	for _, s := range d.chain {
-		chainBytes += s.size
-	}
-	return segments, bytes, chainSegments, chainBytes, d.fsyncs, d.checkpoints
+	return segments, bytes, d.fsyncs, d.checkpoints
 }
 
 // close flushes, syncs, and closes the active segment and stops the

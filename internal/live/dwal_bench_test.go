@@ -79,37 +79,27 @@ func benchStore(tb testing.TB, n int) *ccsr.Store {
 	return core.NewEngine(graph.MustParse(sb.String())).Store()
 }
 
-// BenchmarkCheckpoint measures one checkpoint cycle at three store sizes
-// under each mode, driving the diskWAL directly so nothing but the cycle
-// is on the clock. Every iteration appends one record (sealing a segment,
-// identical work in both modes) and checkpoints at its seq: full mode
-// re-serializes the whole store each time — O(vertices) — while
-// incremental mode renames the covered segment into the chain, a cost
-// that does not move with store size. ChainMax is set out of reach so the
-// incremental numbers are the pure chain-advance cost; in production the
-// default ChainMax (16) folds one full rewrite into every 16 cycles (see
-// EXPERIMENTS.md for the amortized view).
+// BenchmarkCheckpoint measures what one sealed segment costs in checkpoint
+// work, at three store sizes and three KeepSegments settings, driving the
+// diskWAL directly so nothing but the cycle is on the clock. Every
+// iteration appends one record (sealing a segment) and asks the same
+// question Mutate asks; a checkpoint — one full store serialization,
+// O(vertices) — fires once per KeepSegments+1 sealed segments, so raising
+// the knob divides the per-segment cost without a second on-disk format
+// (see EXPERIMENTS.md "Checkpoint amortization").
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, n := range []int{2_000, 20_000, 200_000} {
 		st := benchStore(b, n)
-		for _, mode := range []CheckpointMode{CheckpointFull, CheckpointIncremental} {
-			b.Run(fmt.Sprintf("mode=%s/vertices=%d", mode, n), func(b *testing.B) {
-				opts := Durability{
-					Dir: b.TempDir(), Fsync: FsyncNever, SegmentSize: 1,
-					KeepSegments: 1 << 20, CheckpointMode: mode, ChainMax: 1 << 30,
-				}.withDefaults()
-				opts.SegmentSize = 1 // every append seals its segment
-				d, err := openDiskWAL(opts, Observer{})
+		for _, keep := range []int{1, 4, 24} {
+			b.Run(fmt.Sprintf("keep=%d/vertices=%d", keep, n), func(b *testing.B) {
+				d, _, err := openDiskWAL(Durability{
+					Dir: b.TempDir(), Fsync: FsyncNever, SegmentSize: 1, KeepSegments: keep,
+				}, Observer{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer d.close()
 				if err := d.openAppend(1); err != nil {
-					b.Fatal(err)
-				}
-				// Incremental advances need a base to chain from; writing
-				// it here keeps setup off the clock.
-				if err := d.writeCheckpoint(st, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
@@ -119,37 +109,13 @@ func BenchmarkCheckpoint(b *testing.B) {
 					if err := d.append(rec); err != nil {
 						b.Fatal(err)
 					}
-					if err := d.checkpoint(st, seq, seq); err != nil {
-						b.Fatal(err)
+					if d.needsCheckpoint(seq) {
+						if err := d.checkpoint(st, seq, seq); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkResumeLogAppend measures the per-record cost the persisted
-// resume log adds to the commit path: frame, CRC, and buffered write of
-// one mutation record (no per-batch fsync — that is the design). This is
-// the overhead every durable Mutate pays on top of the WAL append.
-func BenchmarkResumeLogAppend(b *testing.B) {
-	st := core.NewEngine(graph.MustParse(pathGraph)).Store()
-	l, err := openResumeLog(b.TempDir(), Durability{
-		Fsync: FsyncNever, SegmentSize: 1 << 30, KeepSegments: 2,
-	}.withDefaults(), Observer{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.close()
-	if err := l.start(st, 0, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seq := uint64(i + 1)
-		rec := []Record{{Seq: seq, Epoch: seq, Mut: Mutation{Op: OpInsertEdge, Src: 0, Dst: 1}}}
-		if err := l.appendMuts(rec); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -90,10 +90,12 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 
 // TestDurableCheckpointAndRotation forces rotation on every batch and a
 // tight retention so checkpoints must fire, then verifies a restart loads
-// the checkpoint and replays only the uncovered suffix.
+// the checkpoint and replays only the uncovered suffix. The resume window
+// is one record, so the resumable-from watermark — where checkpoints are
+// taken — trails the head by one sealed segment.
 func TestDurableCheckpointAndRotation(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Durability: Durability{
+	opts := Options{WALRetention: 1, Durability: Durability{
 		Dir:          dir,
 		Fsync:        FsyncNever,
 		SegmentSize:  1, // every batch seals its segment
@@ -151,20 +153,30 @@ func lastSegment(t *testing.T, dir string) string {
 }
 
 // TestTornTailTruncated damages the final segment the way a crash does —
-// a partial frame, and separately a zero-length frame header — and expects
-// recovery to truncate back to the last whole record and carry on.
+// a partial frame, a zero-length frame header, a lone byte, and a segment
+// the crash created but never wrote a header into — and expects recovery
+// to cut back to the last whole record and carry on: the next commit must
+// land behind a valid header, so the directory still opens one run later.
 func TestTornTailTruncated(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tail []byte
+		// headerless replaces appending tail: rotate after the batch, then
+		// empty the fresh segment (a kill between create and header write).
+		headerless bool
 	}{
-		{"partial payload", append([]byte{40, 0, 0, 0, 1, 2, 3, 4}, make([]byte, 10)...)},
-		{"zero-length frame", make([]byte, frameHeaderLen)},
-		{"lone garbage byte", []byte{0xFF}},
+		{name: "partial payload", tail: append([]byte{40, 0, 0, 0, 1, 2, 3, 4}, make([]byte, 10)...)},
+		{name: "zero-length frame", tail: make([]byte, frameHeaderLen)},
+		{name: "lone garbage byte", tail: []byte{0xFF}},
+		{name: "header-less final segment", headerless: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{Durability: Durability{Dir: dir, Fsync: FsyncNever}}
+			if tc.headerless {
+				opts.Durability.SegmentSize = 1
+				opts.Durability.KeepSegments = 100
+			}
 			g := openDurable(t, pathGraph, opts)
 			com, err := g.Mutate(context.Background(), []Mutation{{Op: OpInsertEdge, Src: 2, Dst: 3}})
 			if err != nil {
@@ -174,17 +186,22 @@ func TestTornTailTruncated(t *testing.T) {
 			g.Close()
 
 			seg := lastSegment(t, dir)
-			f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
+			if tc.headerless {
+				if err := os.Truncate(seg, 0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(tc.tail); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
 			}
-			if _, err := f.Write(tc.tail); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
 
 			r := openDurable(t, pathGraph, opts)
-			defer r.Close()
 			rec := r.Recovery()
 			if !rec.TornTail {
 				t.Fatalf("torn tail not detected: %+v", rec)
@@ -202,6 +219,19 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			if com2.FirstSeq != com.LastSeq+1 {
 				t.Fatalf("post-truncation seq %d, want %d", com2.FirstSeq, com.LastSeq+1)
+			}
+			wantCount = count(t, r, edgePattern, graph.EdgeInduced)
+			r.Close()
+
+			// And what it appended is readable: a second restart recovers
+			// the post-truncation commit too.
+			r2 := openDurable(t, pathGraph, opts)
+			defer r2.Close()
+			if rec := r2.Recovery(); rec.TornTail || rec.RecoveredSeq != com2.LastSeq {
+				t.Fatalf("second recovery: %+v, want clean at seq %d", rec, com2.LastSeq)
+			}
+			if got := count(t, r2, edgePattern, graph.EdgeInduced); got != wantCount {
+				t.Fatalf("second recovery count %d, want %d", got, wantCount)
 			}
 		})
 	}

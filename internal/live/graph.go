@@ -24,8 +24,7 @@ type Graph struct {
 	name string
 	opts Options
 	wal  *wal
-	dwal *diskWAL   // nil without Options.Durability.Dir
-	rlog *resumeLog // persisted resume window; nil without Durability.Dir
+	dwal *diskWAL // nil without Options.Durability.Dir
 
 	// sig is the admission pre-filter signature. It is built from the
 	// opening state (in-memory or recovered) and maintained inside Mutate's
@@ -34,7 +33,8 @@ type Graph struct {
 	sig *prefilter.Signature
 
 	// mu is the writer lock: it serializes Mutate/Subscribe/Close and
-	// guards writer, resumeBase, subs, nextSubID, closed, and epoch.
+	// guards writer, resumeBase, resumeEpoch, subs, nextSubID, closed, and
+	// epoch.
 	// Queries never take it.
 	mu        sync.Mutex
 	writer    *ccsr.Store
@@ -46,8 +46,12 @@ type Graph struct {
 	// resumeBase is the graph's state at exactly the in-memory WAL's
 	// oldest-resumable seq: applying the retained tail to a clone of it
 	// reconstructs every intermediate state a resuming subscriber needs.
-	// It rolls forward as retention truncates the tail.
-	resumeBase *ccsr.Store
+	// It rolls forward as retention truncates the tail. With a durable WAL
+	// it is also what a checkpoint serializes (at resumeEpoch, the epoch of
+	// the last record folded into it), so the checkpoint a restart loads is
+	// the resume base of the window it rebuilds.
+	resumeBase  *ccsr.Store
+	resumeEpoch uint64
 
 	recovery RecoveryStats
 
@@ -102,28 +106,22 @@ type RecoveryStats struct {
 	// TornTail reports that the final segment ended mid-record (a crash
 	// during an append) and was truncated back to the last whole record.
 	TornTail bool `json:"torn_tail"`
-	// ChainSegments is how many incremental-checkpoint chain files the
-	// replay folded in on top of the base checkpoint.
-	ChainSegments int `json:"chain_segments"`
-	// ResumeWindowRestored reports that the persisted resume log restored
-	// the pre-restart subscription window, so subscribers can resume from
-	// any seq in (ResumeOldestSeq, RecoveredSeq] exactly as if the process
-	// had never died.
+	// ResumeWindowRestored reports that the replayed log rebuilt a
+	// non-empty subscription window, so subscribers can resume from any seq
+	// in [ResumeOldestSeq, RecoveredSeq] exactly as if the process had
+	// never died. The window is the log itself, so it can only be lost
+	// together with the acknowledged data it belongs to.
 	ResumeWindowRestored bool `json:"resume_window_restored"`
 	// ResumeOldestSeq is the oldest resumable seq after recovery (equals
-	// RecoveredSeq when the window starts fresh).
+	// RecoveredSeq when the window starts empty).
 	ResumeOldestSeq uint64 `json:"resume_oldest_seq"`
 	// ResumeRecords is how many tail records the restored window holds.
 	ResumeRecords int `json:"resume_records"`
-	// ResumeTornTail reports a truncated crash tail in the resume log's
-	// final chain file (the lost suffix was gap-filled from the WAL when
-	// possible).
-	ResumeTornTail bool `json:"resume_torn_tail"`
-	// ResumeWindowLost reports that a resume log was present but its
-	// window could not be restored (seq gap against the WAL, or a label
-	// table that diverged from the recovered one); a fresh window was
-	// started at RecoveredSeq and pre-restart from_seqs answer 410.
-	ResumeWindowLost bool `json:"resume_window_lost"`
+	// UpgradedLayout reports that Open found the files of the older
+	// layout (NNN.inc checkpoint-chain files, a resume/ directory) and
+	// normalized them: chain files renamed back to segments, resume/
+	// removed.
+	UpgradedLayout bool `json:"upgraded_layout"`
 	// Duration is the wall time of checkpoint load + replay.
 	Duration time.Duration `json:"duration_ns"`
 }
@@ -159,7 +157,7 @@ func Open(name string, eng *core.Engine, opts Options) (*Graph, error) {
 		retained: make(map[uint64]snapMeta),
 	}
 	if opts.Durability.Dir == "" {
-		g.wal = newWAL(opts.WALRetention)
+		g.wal = newWAL(opts.WALRetention, 0)
 		g.writer = eng.Store().Clone()
 		g.resumeBase = eng.Store().Clone()
 		sig, err := prefilter.Build(g.writer)
@@ -177,23 +175,18 @@ func Open(name string, eng *core.Engine, opts Options) (*Graph, error) {
 }
 
 // recover rebuilds the graph's state from its durable WAL directory and
-// leaves the disk log open for appending.
+// leaves the disk log open for appending. The checkpoint (or, without one,
+// the engine's store at seq 0) seeds writer and resume base alike; every
+// later record is then applied to the writer and admitted to the window
+// exactly as Mutate would have, so the ring, the resume base and the
+// resumable-from watermark come back as the pre-restart process left them.
 func (g *Graph) recover(eng *core.Engine) error {
 	start := time.Now()
-	dw, err := openDiskWAL(g.opts.Durability, g.opts.Observer)
+	dw, upgraded, err := openDiskWAL(g.opts.Durability, g.opts.Observer)
 	if err != nil {
 		return err
 	}
-	// The resume log loads before the WAL replays so the replay can
-	// collect the gap-fill records the log's unsynced tail may have lost.
-	rl, err := openResumeLog(g.opts.Durability.Dir, g.opts.Durability.withDefaults(), g.opts.Observer)
-	if err != nil {
-		return err
-	}
-	rstate, err := rl.load()
-	if err != nil {
-		return err
-	}
+	g.recovery.UpgradedLayout = upgraded
 	base := eng.Store()
 	ckStore, ckSeq, ckEpoch, hasCk, err := dw.loadCheckpoint()
 	if err != nil {
@@ -205,36 +198,31 @@ func (g *Graph) recover(eng *core.Engine) error {
 		g.recovery.CheckpointSeq = ckSeq
 		g.recovery.CheckpointEpoch = ckEpoch
 	}
-	g.recovery.ChainSegments = len(dw.chain)
-	// The writer replays in place; labels re-intern by name so runtime-
-	// minted labels keep their identity across the restart.
+	// Both clones share base's label table, so re-interning a record's
+	// label by name once — runtime-minted labels keep their identity across
+	// the restart that way — yields an id valid for writer and resume base.
 	g.writer = base.Clone()
-	epoch := ckEpoch
-	rlogLast := rstate.lastSeq()
-	var fill []Record
-	lastSeq, replayed, torn, err := dw.replay(ckSeq, func(rec Record) error {
-		if err := applyRecord(g.writer, rec.Mut); err != nil {
+	g.resumeBase = base.Clone()
+	g.resumeEpoch = ckEpoch
+	g.epoch = ckEpoch
+	g.wal = newWAL(g.opts.WALRetention, ckSeq)
+	replayed, torn, err := dw.replay(ckSeq, func(rec Record) error {
+		reinternMutation(g.writer.Names(), &rec.Mut)
+		if err := applyRaw(g.writer, rec.Mut); err != nil {
 			return fmt.Errorf("live: replay seq %d (%s): %w", rec.Seq, rec.Mut.Op, err)
 		}
-		epoch = rec.Epoch
-		if rstate.base != nil && rec.Seq > rlogLast {
-			// The WAL reaches past the resume log (its tail is not fsynced
-			// per batch, so a power cut can shrink it): keep the missing
-			// records, re-interned under the recovered table, to extend the
-			// restored window to the recovered seq.
-			reinternMutation(g.writer.Names(), &rec.Mut)
-			fill = append(fill, rec)
-		}
+		g.epoch = rec.Epoch
+		g.retainLocked([]Record{rec})
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	lastSeq := g.wal.lastSeq()
 	if err := dw.openAppend(lastSeq + 1); err != nil {
 		return err
 	}
 	g.dwal = dw
-	g.epoch = epoch
 	// The signature is rebuilt from the recovered writer, not replayed
 	// mutation-by-mutation: recovery re-interns labels by name, so only the
 	// post-replay store holds the ids the new process will mutate under.
@@ -243,132 +231,33 @@ func (g *Graph) recover(eng *core.Engine) error {
 		return fmt.Errorf("live: rebuild prefilter signature: %w", err)
 	}
 	g.sig = sig
-	g.recovery.ResumeTornTail = rstate.torn
-	restored := false
-	if rstate.base != nil {
-		restored = g.restoreResumeWindow(rl, rstate, fill, lastSeq)
-		g.recovery.ResumeWindowRestored = restored
-		g.recovery.ResumeWindowLost = !restored
-	}
-	if !restored {
-		// No usable window: resume from the recovered position only, and
-		// re-anchor the on-disk chain there so the window regrows.
-		g.resumeBase = g.writer.Clone()
-		g.wal = newWALAt(g.opts.WALRetention, lastSeq)
-		if err := rl.start(g.resumeBase, lastSeq, epoch); err != nil {
-			rl.markBroken()
-		}
-	}
-	g.rlog = rl
-	g.recovery.ResumeOldestSeq = g.wal.oldestResumable()
-	retained, _ := g.wal.size()
-	g.recovery.ResumeRecords = retained
 	pub := g.writer.Clone()
-	g.installSnapshot(newSnapshot(epoch, core.FromStore(pub), g.drainHook(epoch)))
+	g.installSnapshot(newSnapshot(g.epoch, core.FromStore(pub), g.drainHook(g.epoch)))
+	g.recovery.ResumeOldestSeq = g.wal.oldestResumable()
+	g.recovery.ResumeRecords, _ = g.wal.size()
+	g.recovery.ResumeWindowRestored = g.recovery.ResumeRecords > 0
 	g.recovery.ReplayedRecords = replayed
 	g.recovery.RecoveredSeq = lastSeq
-	g.recovery.RecoveredEpoch = epoch
+	g.recovery.RecoveredEpoch = g.epoch
 	g.recovery.TornTail = torn
 	g.recovery.Duration = time.Since(start)
 	observe(g.opts.Observer.WALReplay, start)
 	return nil
 }
 
-// restoreResumeWindow rebuilds resumeBase and the in-memory tail from the
-// loaded resume-log state plus the WAL gap-fill, and heals the on-disk
-// chain up to the recovered seq. It returns false — leaving the caller to
-// start a fresh window — whenever a gapless, label-consistent window up
-// to lastSeq cannot be proven.
-func (g *Graph) restoreResumeWindow(rl *resumeLog, rstate *rlogState, fill []Record, lastSeq uint64) bool {
-	if rstate.baseSeq > lastSeq {
-		return false // the base claims a future the WAL never acknowledged
-	}
-	// Label ids are arrival-order-dependent: the persisted base indexes its
-	// adjacency under the previous process's table, the recovered writer
-	// under a freshly re-interned one. Replaying against the base is only
-	// sound when the base's table is a prefix of the recovered table —
-	// every id the base can contain means the same name in both. Named
-	// labels minted after the base was encoded ride in the tail records and
-	// re-intern by name below.
-	if !labelTablePrefix(rstate.base.Names(), g.writer.Names()) {
-		return false
-	}
-	tail := rstate.tail
-	// Drop records past the recovered seq: with -fsync never a power cut
-	// can push the WAL behind the resume log, and the unacknowledged
-	// suffix must not outlive it.
-	for len(tail) > 0 && tail[len(tail)-1].Seq > lastSeq {
-		tail = tail[:len(tail)-1]
-	}
-	droppedFuture := len(tail) != len(rstate.tail)
-	rlogLast := rstate.baseSeq + uint64(len(tail))
-	if len(fill) > 0 && fill[0].Seq != rlogLast+1 {
-		return false // the WAL cannot bridge the log's lost suffix
-	}
-	if len(fill) == 0 && rlogLast != lastSeq {
-		return false // checkpoint truncation consumed the bridge records
-	}
-	for i := range tail {
-		reinternMutation(g.writer.Names(), &tail[i].Mut)
-	}
-	combined := append(tail, fill...)
-	base := rstate.base
-	oldest := rstate.baseSeq
-	// The restored window may exceed WALRetention (the log truncates by
-	// rebase cadence, not record count): fold the excess into the base so
-	// the in-memory invariants hold exactly as in steady state.
-	if drop := len(combined) - g.opts.WALRetention; drop > 0 {
-		for _, rec := range combined[:drop] {
-			if err := applyRaw(base, rec.Mut); err != nil {
-				return false
-			}
+// retainLocked admits committed records to the resume window: they join
+// the ring, and whatever retention pushes out of its far end folds into
+// resumeBase, which thereby stays at exactly the resumable-from
+// watermark. Mutate and crash recovery both log through here.
+func (g *Graph) retainLocked(recs []Record) {
+	for _, rec := range g.wal.appendRecords(recs) {
+		if err := applyRaw(g.resumeBase, rec.Mut); err != nil {
+			// Unreachable: the record already applied cleanly to the
+			// writer after the same prefix.
+			panic(fmt.Sprintf("live: resume base diverged at seq %d: %v", rec.Seq, err))
 		}
-		oldest += uint64(drop)
-		combined = combined[drop:]
+		g.resumeEpoch = rec.Epoch
 	}
-	g.resumeBase = base
-	g.wal = newWALWithTail(g.opts.WALRetention, oldest, combined)
-	// Heal the on-disk chain. If the chain holds records past the
-	// recovered seq it must be rewritten — appending after them would gap
-	// the chain — otherwise appending the gap-fill extends it to lastSeq.
-	if droppedFuture {
-		_ = rl.rebase(base, oldest, g.epoch, combined)
-		return true
-	}
-	if err := rl.openAppend(); err != nil {
-		rl.markBroken()
-		return true
-	}
-	if len(fill) > 0 {
-		_ = rl.appendMuts(fill)
-	}
-	return true
-}
-
-// labelTablePrefix reports whether every label interned in a is interned
-// in b with the same id and name — a's table is a prefix of (or equal to)
-// b's, for both namespaces.
-func labelTablePrefix(a, b *graph.LabelTable) bool {
-	if a == nil {
-		return true
-	}
-	if b == nil {
-		return a.NumVertexLabels() == 0 && a.NumEdgeLabels() == 0
-	}
-	if a.NumVertexLabels() > b.NumVertexLabels() || a.NumEdgeLabels() > b.NumEdgeLabels() {
-		return false
-	}
-	for i := 0; i < a.NumVertexLabels(); i++ {
-		if a.VertexName(graph.Label(i)) != b.VertexName(graph.Label(i)) {
-			return false
-		}
-	}
-	for i := 0; i < a.NumEdgeLabels(); i++ {
-		if a.EdgeName(graph.EdgeLabel(i)) != b.EdgeName(graph.EdgeLabel(i)) {
-			return false
-		}
-	}
-	return true
 }
 
 // reinternMutation rewrites a named mutation's label id by re-interning
@@ -387,18 +276,11 @@ func reinternMutation(names *graph.LabelTable, m *Mutation) {
 	}
 }
 
-// applyRecord applies one WAL record to a store during crash replay,
-// re-interning the label by name when the record carries one. Steady-
-// state code paths use applyRaw instead.
-func applyRecord(st *ccsr.Store, m Mutation) error {
-	reinternMutation(st.Names(), &m)
-	return applyRaw(st, m)
-}
-
 // applyRaw applies one record by its interned ids, never touching the
-// label table. Correct for any record minted by this process run (resume
-// roll-forward, resume replay): the ids were assigned under the current
-// table, and re-interning would race with concurrent interning elsewhere.
+// label table. Correct for any record minted by this process run, or
+// passed through reinternMutation by its recovery: the ids were assigned
+// under the current table, and re-interning would race with concurrent
+// interning elsewhere.
 func applyRaw(st *ccsr.Store, m Mutation) error {
 	switch m.Op {
 	case OpAddVertex:
@@ -556,21 +438,9 @@ func (g *Graph) Mutate(ctx context.Context, muts []Mutation) (Commit, error) {
 			return Commit{}, err
 		}
 	}
-	if g.rlog != nil {
-		// The batch is already durable in the WAL, so a resume-log failure
-		// never aborts the commit: the log marks itself broken (counted)
-		// and the next rebase rewrites the chain.
-		_ = g.rlog.appendMuts(recs)
-	}
-	for _, rec := range g.wal.appendRecords(recs) {
-		// Retention pushed this record out of the in-memory tail: fold it
-		// into the resume base so the oldest resumable state keeps pace.
-		if err := applyRaw(g.resumeBase, rec.Mut); err != nil {
-			// Unreachable: the record already applied cleanly to the
-			// writer at the same state.
-			panic(fmt.Sprintf("live: resume base diverged at seq %d: %v", rec.Seq, err))
-		}
-	}
+	retainStart := time.Now()
+	g.retainLocked(recs)
+	observe(g.opts.Observer.ResumeLogAppend, retainStart)
 	// Fold the batch into the admission signature while still holding the
 	// writer lock and only after the durable append accepted it: rollback
 	// paths never touch the signature, and the whole batch lands atomically
@@ -607,24 +477,18 @@ func (g *Graph) Mutate(ctx context.Context, muts []Mutation) (Commit, error) {
 	g.stats.deltasDelivered.Add(com.Deltas)
 	g.stats.retractionsDelivered.Add(com.Retractions)
 
-	if g.dwal != nil && g.dwal.needsCheckpoint() {
-		// The just-published store is overlay-free (Clone compacted it)
-		// and immutable, so encoding it races with nothing; segments
-		// wholly covered by the checkpoint are deleted afterwards. A
-		// failed checkpoint is not a failed commit — the batch is already
-		// durable in the segment log — so it only counts, it never errors
-		// the acknowledged mutation back to the client.
-		if err := g.dwal.checkpoint(g.cur.Store(), com.LastSeq, com.Epoch); err != nil {
-			g.stats.checkpointFailures.Add(1)
+	if g.dwal != nil {
+		// The checkpoint is taken at the resumable-from watermark, not at
+		// the head: resumeBase is already the state there, and every
+		// segment a checkpoint there covers is one no subscriber can ask
+		// for any more. A failed checkpoint is not a failed commit — the
+		// batch is already durable in the segment log — so it only counts,
+		// it never errors the acknowledged mutation back to the client.
+		if from := g.wal.oldestResumable(); g.dwal.needsCheckpoint(from) {
+			if err := g.dwal.checkpoint(g.resumeBase, from, g.resumeEpoch); err != nil {
+				g.stats.checkpointFailures.Add(1)
+			}
 		}
-	}
-	if g.rlog != nil && g.rlog.needsRebase() {
-		// Rewrite the chain as base(oldest-resumable) + retained tail: the
-		// on-disk window tracks the in-memory retention policy, and a
-		// broken log heals here. Failure is counted inside, never surfaced
-		// — the WAL already holds the acknowledged data.
-		oldest := g.wal.oldestResumable()
-		_ = g.rlog.rebase(g.resumeBase, oldest, com.Epoch, g.wal.tail(oldest))
 	}
 	return com, nil
 }
@@ -808,21 +672,9 @@ type Stats struct {
 	WALFsyncs          uint64 `json:"wal_fsyncs"`
 	WALCheckpoints     uint64 `json:"wal_checkpoints"`
 	CheckpointFailures uint64 `json:"checkpoint_failures"`
-	// Incremental-checkpoint chain files (renamed covered segments) and
-	// their bytes; zero under -checkpoint-mode=full.
-	WALChainSegments int   `json:"wal_chain_segments"`
-	WALChainBytes    int64 `json:"wal_chain_bytes"`
 
-	// Persisted-resume-log state; all zero for a purely in-memory graph.
 	// OldestResumableSeq is the smallest from_seq a subscriber may resume
-	// from (maintained in memory too, so it is also set for in-memory
-	// graphs); ResumeLogFailures counts appends or rebases the disk
-	// refused — the window keeps serving from memory and the next rebase
-	// repairs the chain.
-	ResumeLogSegments  int    `json:"resume_log_segments"`
-	ResumeLogBytes     int64  `json:"resume_log_bytes"`
-	ResumeLogRebases   uint64 `json:"resume_log_rebases"`
-	ResumeLogFailures  uint64 `json:"resume_log_failures"`
+	// from: the resumable-from watermark (set for in-memory graphs too).
 	OldestResumableSeq uint64 `json:"oldest_resumable_seq"`
 
 	Batches       uint64 `json:"batches"`
@@ -878,11 +730,7 @@ func (g *Graph) Stats() Stats {
 	}
 	st.OldestResumableSeq = g.wal.oldestResumable()
 	if g.dwal != nil {
-		st.WALDiskSegments, st.WALDiskBytes, st.WALChainSegments, st.WALChainBytes,
-			st.WALFsyncs, st.WALCheckpoints = g.dwal.diskStats()
-	}
-	if g.rlog != nil {
-		st.ResumeLogSegments, st.ResumeLogBytes, st.ResumeLogRebases, st.ResumeLogFailures = g.rlog.diskStats()
+		st.WALDiskSegments, st.WALDiskBytes, st.WALFsyncs, st.WALCheckpoints = g.dwal.diskStats()
 	}
 	now := time.Now()
 	g.retMu.Lock()
@@ -922,9 +770,6 @@ func (g *Graph) Close() {
 		sub.closeLocked()
 	}
 	g.subs = map[uint64]*Subscription{}
-	if g.rlog != nil {
-		_ = g.rlog.close()
-	}
 	if g.dwal != nil {
 		_ = g.dwal.close()
 	}

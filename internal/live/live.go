@@ -37,14 +37,13 @@
 // lands in segment files under that directory (CRC-checksummed, fsynced
 // per the configured policy) and Open replays checkpoint + segments at
 // startup, recovering the exact committed seq and epoch; see dwal.go for
-// the format and crash semantics, including the incremental checkpoint
-// chain selected by Durability.CheckpointMode. Subscribers that reconnect
-// resume from any retained seq with ResumeSubscribe: replayed deltas (and
-// retraction events for deletions) arrive gapless before the stream hands
-// over to live commits. The resume window is itself persisted (rlog.go),
-// so a from_seq that was resumable before a restart replays the identical
-// events after it — recovery gap-fills any resume-log tail lost to the
-// crash from the WAL.
+// the format, the three watermarks over the log, and the crash semantics.
+// Subscribers that reconnect resume from any retained seq with
+// ResumeSubscribe: replayed deltas (and retraction events for deletions)
+// arrive gapless before the stream hands over to live commits. The resume
+// window is a suffix of that same log and the checkpoint is taken at the
+// window's oldest seq, so a from_seq that was resumable before a restart
+// replays the identical events after it.
 package live
 
 import (

@@ -193,10 +193,10 @@ func TestResumeBoundaries(t *testing.T) {
 		t.Fatalf("vertex-induced resume: %v, want ErrVertexInduced", err)
 	}
 
-	// A recovered graph restores its resume horizon from the persisted
-	// resume log: the pre-restart window survives the process, so a
-	// subscriber that last saw seq 0 replays the pre-restart batch as if
-	// the restart never happened, and the boundary errors stay exact.
+	// A recovered graph rebuilds its resume horizon from the one log: the
+	// pre-restart window survives the process, so a subscriber that last
+	// saw seq 0 replays the pre-restart batch as if the restart never
+	// happened, and the boundary errors stay exact.
 	dir := t.TempDir()
 	opts := Options{Durability: Durability{Dir: dir, Fsync: FsyncNever}}
 	d := openDurable(t, pathGraph, opts)
@@ -207,7 +207,7 @@ func TestResumeBoundaries(t *testing.T) {
 	d.Close()
 	r := openDurable(t, pathGraph, opts)
 	defer r.Close()
-	if rec := r.Recovery(); !rec.ResumeWindowRestored || rec.ResumeWindowLost {
+	if rec := r.Recovery(); !rec.ResumeWindowRestored {
 		t.Fatalf("recovery did not restore the resume window: %+v", rec)
 	}
 	if got := r.OldestResumableSeq(); got != 0 {
@@ -324,6 +324,10 @@ func TestConcurrentCommitAndResume(t *testing.T) {
 	for k := 0; k < 25; k++ {
 		from := g.OldestResumableSeq()
 		res, err := g.ResumeSubscribe(edgePattern, graph.EdgeInduced, from)
+		if errors.Is(err, ErrSeqTruncated) {
+			k-- // the storm truncated past from between the two calls; ask again
+			continue
+		}
 		if err != nil {
 			t.Fatalf("resume %d from %d: %v", k, from, err)
 		}

@@ -25,29 +25,11 @@ type wal struct {
 	retention int
 }
 
-func newWAL(retention int) *wal {
-	return &wal{nextSeq: 1, retention: retention}
-}
-
-// newWALAt seeds a log that resumes numbering after a recovery: the next
-// sequence number is lastSeq+1 and everything at or below lastSeq counts
-// as truncated (recovered history lives on disk, not in the tail).
-func newWALAt(retention int, lastSeq uint64) *wal {
+// newWAL starts a log whose numbering continues after lastSeq (0 for a
+// fresh graph): the window is empty and its resumable-from watermark sits
+// at lastSeq, where the caller's resume base is.
+func newWAL(retention int, lastSeq uint64) *wal {
 	return &wal{nextSeq: lastSeq + 1, truncated: lastSeq, retention: retention}
-}
-
-// newWALWithTail seeds a log whose retained window survived a restart:
-// tail holds the gapless records (oldest, oldest+len(tail)], restored from
-// the persisted resume log, and numbering continues after the last of
-// them. An empty tail is the newWALAt degenerate case at seq oldest.
-func newWALWithTail(retention int, oldest uint64, tail []Record) *wal {
-	last := oldest + uint64(len(tail))
-	return &wal{
-		recs:      tail,
-		nextSeq:   last + 1,
-		truncated: oldest,
-		retention: retention,
-	}
 }
 
 // peekNextSeq returns the sequence number the next committed record will
@@ -62,10 +44,10 @@ func (w *wal) peekNextSeq() uint64 {
 // appendRecords logs a committed batch whose Seq fields were pre-assigned
 // from peekNextSeq (the durable WAL needs finished records before the
 // in-memory tail may admit them). It returns the records retention pushed
-// out, oldest first, so the caller can roll its resume base forward.
+// out, oldest first, so the caller can roll its resume base forward; the
+// slice aliases the log's backing array and must not be modified.
 //
-//csce:hotpath runs under the writer lock on every committed batch; the
-// common (no-truncation) path must not allocate beyond amortized append
+//csce:hotpath under the writer lock on every commit: amortized append only
 func (w *wal) appendRecords(recs []Record) (dropped []Record) {
 	if len(recs) == 0 {
 		return nil
@@ -75,9 +57,14 @@ func (w *wal) appendRecords(recs []Record) (dropped []Record) {
 	w.recs = append(w.recs, recs...)
 	w.nextSeq = recs[len(recs)-1].Seq + 1
 	if over := len(w.recs) - w.retention; over > 0 {
-		dropped = append([]Record(nil), w.recs[:over]...)
+		// Reslicing leaves the dropped prefix in the backing array until
+		// append's next growth copies the window out (at most about one
+		// retention's worth of dead records), which keeps every append —
+		// recovery feeds the log through here record by record — O(1)
+		// amortized instead of copying the whole window.
+		dropped = w.recs[:over]
 		w.truncated += uint64(over)
-		w.recs = append([]Record(nil), w.recs[over:]...)
+		w.recs = w.recs[over:]
 	}
 	return dropped
 }

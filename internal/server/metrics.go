@@ -47,7 +47,7 @@ const (
 	walCheckpoint = "checkpoint" // checkpoint write + segment truncation
 	walResume     = "resume"     // subscriber resume replay
 	walSignature  = "signature"  // prefilter signature maintenance inside the commit
-	walResumeLog  = "resume_log" // resume-log append inside the commit
+	walResumeLog  = "resume_log" // resume-window maintenance (ring append + base roll-forward) inside the commit
 )
 
 // metricsWALOps lists the WAL histogram keys in render order.

@@ -61,6 +61,27 @@ func TestMetricsDocumentSchema(t *testing.T) {
 		}
 	}
 
+	liveDoc, ok := doc["live"].(map[string]any)["tiny"].(map[string]any)
+	if !ok {
+		t.Fatalf("live.tiny block missing or not an object: %v", doc["live"])
+	}
+	for _, key := range []string{
+		"epoch", "last_seq", "wal_retained", "wal_truncated", "oldest_resumable_seq",
+		"wal_disk_segments", "wal_disk_bytes", "wal_fsyncs", "wal_checkpoints", "checkpoint_failures",
+	} {
+		if _, ok := liveDoc[key]; !ok {
+			t.Errorf("/metrics live block missing %q", key)
+		}
+	}
+	for _, gone := range []string{
+		"wal_chain_segments", "wal_chain_bytes", "resume_log_segments",
+		"resume_log_bytes", "resume_log_rebases", "resume_log_failures",
+	} {
+		if _, ok := liveDoc[gone]; ok {
+			t.Errorf("/metrics live block still carries %q", gone)
+		}
+	}
+
 	latency, ok := doc["latency"].(map[string]any)
 	if !ok {
 		t.Fatalf("latency block missing or not an object: %v", doc["latency"])

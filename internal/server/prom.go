@@ -120,12 +120,6 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 		{"csce_live_wal_fsyncs", "counter", func(st live.Stats) float64 { return float64(st.WALFsyncs) }},
 		{"csce_live_wal_checkpoints", "counter", func(st live.Stats) float64 { return float64(st.WALCheckpoints) }},
 		{"csce_live_checkpoint_failures", "counter", func(st live.Stats) float64 { return float64(st.CheckpointFailures) }},
-		{"csce_live_wal_chain_segments", "gauge", func(st live.Stats) float64 { return float64(st.WALChainSegments) }},
-		{"csce_live_wal_chain_bytes", "gauge", func(st live.Stats) float64 { return float64(st.WALChainBytes) }},
-		{"csce_live_resume_log_segments", "gauge", func(st live.Stats) float64 { return float64(st.ResumeLogSegments) }},
-		{"csce_live_resume_log_bytes", "gauge", func(st live.Stats) float64 { return float64(st.ResumeLogBytes) }},
-		{"csce_live_resume_log_rebases", "counter", func(st live.Stats) float64 { return float64(st.ResumeLogRebases) }},
-		{"csce_live_resume_log_failures", "counter", func(st live.Stats) float64 { return float64(st.ResumeLogFailures) }},
 		{"csce_live_oldest_resumable_seq", "gauge", func(st live.Stats) float64 { return float64(st.OldestResumableSeq) }},
 		{"csce_live_snapshot_bytes", "gauge", func(st live.Stats) float64 { return float64(st.SnapshotBytes) }},
 		{"csce_live_oldest_pinned_epoch", "gauge", func(st live.Stats) float64 { return float64(st.OldestPinnedEpoch) }},

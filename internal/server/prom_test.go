@@ -60,6 +60,8 @@ func TestPromExposition(t *testing.T) {
 			"# TYPE csce_live_epoch gauge",
 			`csce_live_epoch{graph="g"} 1`,
 			`csce_live_edges_inserted{graph="g"} 1`,
+			"# TYPE csce_live_wal_checkpoints counter",
+			`csce_live_oldest_resumable_seq{graph="g"} 0`,
 			"# TYPE csce_phase_latency_seconds histogram",
 			"# TYPE csce_endpoint_latency_seconds histogram",
 			`csce_endpoint_latency_seconds_bucket{endpoint="match",le="+Inf"} 1`,
@@ -67,6 +69,14 @@ func TestPromExposition(t *testing.T) {
 		} {
 			if !strings.Contains(body, want) {
 				t.Errorf("exposition missing %q (viaHeader=%v)", want, viaHeader)
+			}
+		}
+
+		// One log, one checkpoint: the families of the checkpoint chain and
+		// the separate resume log are gone.
+		for _, gone := range []string{"csce_live_wal_chain_", "csce_live_resume_log_"} {
+			if strings.Contains(body, gone) {
+				t.Errorf("exposition still carries a %s* family (viaHeader=%v)", gone, viaHeader)
 			}
 		}
 

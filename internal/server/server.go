@@ -105,14 +105,9 @@ type Config struct {
 	// 4 MiB).
 	WALSegmentSize int64
 	// WALKeepSegments checkpoints and truncates the log once more than
-	// this many sealed segments accumulate (default 4).
+	// this many sealed segments sit wholly below the subscriber-resume
+	// window (default 4).
 	WALKeepSegments int
-	// WALCheckpointMode selects the checkpoint strategy when WALDir is
-	// set: live.CheckpointFull serializes the whole store each time,
-	// live.CheckpointIncremental chains covered segments and rewrites the
-	// base only when the chain grows past Durability.ChainMax (default
-	// full).
-	WALCheckpointMode live.CheckpointMode
 	// SlowQueryThreshold is the end-to-end latency at which a query is
 	// captured in /debug/slowlog with its trace, plan summary, and
 	// per-level execution profile (default 500ms; negative disables).
@@ -262,11 +257,10 @@ func New(cfg Config) *Server {
 		// Dir stays empty here; Registry.Add derives each graph's own
 		// subdirectory from WALRoot.
 		Durability: live.Durability{
-			Fsync:          cfg.WALFsync,
-			FsyncEvery:     cfg.WALFsyncInterval,
-			SegmentSize:    cfg.WALSegmentSize,
-			KeepSegments:   cfg.WALKeepSegments,
-			CheckpointMode: cfg.WALCheckpointMode,
+			Fsync:        cfg.WALFsync,
+			FsyncEvery:   cfg.WALFsyncInterval,
+			SegmentSize:  cfg.WALSegmentSize,
+			KeepSegments: cfg.WALKeepSegments,
 		},
 		Observer: live.Observer{
 			WALAppend:       func(d time.Duration) { s.metrics.recordWAL(walAppend, d) },
