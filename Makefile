@@ -17,9 +17,13 @@ race:
 # Focused race pass over the live-ingest subsystem: the snapshot-swap and
 # subscription paths are the most concurrency-dense code in the tree, so
 # they get a dedicated run (with -count=2 for schedule diversity) on top
-# of the whole-suite `race` target.
+# of the whole-suite `race` target. The ccsr line is the copy-on-write
+# contract underneath the swap: snapshots share clusters and indexes with
+# the writer, and these tests read and clone the shared side while the
+# other is written.
 live-race:
 	$(GO) test -race -count=2 ./internal/live
+	$(GO) test -race -count=2 -run 'TestClone|TestNewClusterLeavesSnapshotPairIndexAlone|TestPropertyClonesStayIndependent' ./internal/ccsr
 	$(GO) test -race -count=2 -run 'TestE2EConcurrentReadersAcrossSwaps|TestSubscribeDeltaEquation|TestMutateEndpoint' ./internal/server
 
 # Focused race pass over the scatter-gather subsystem: the coordinator

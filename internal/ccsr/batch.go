@@ -56,10 +56,6 @@ func (s *Store) ApplyBatch(edits []Edit) error {
 			return fmt.Errorf("ccsr: batch edit %d: %w", i, err)
 		}
 	}
-	for _, c := range s.clusters {
-		if c.dirty() {
-			s.compact(c)
-		}
-	}
+	s.compactDirty()
 	return nil
 }

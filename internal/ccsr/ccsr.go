@@ -67,31 +67,48 @@ type rle struct {
 	counts []uint32
 }
 
-func compressRLE(xs []uint32) rle {
-	var r rle
-	for _, x := range xs {
-		if n := len(r.vals); n > 0 && r.vals[n-1] == x {
-			r.counts[n-1]++
-		} else {
-			r.vals = append(r.vals, x)
-			r.counts = append(r.counts, 1)
-		}
-	}
-	return r
-}
-
-func (r rle) decompress() []uint32 {
-	var total int
+// expand returns the dense row-start array the runs encode, numVertices+1
+// entries long: vertices appended after the cluster was built repeat the
+// final value, i.e. their rows are empty.
+func (r rle) expand(numVertices int) []uint32 {
+	total := 0
 	for _, c := range r.counts {
 		total += int(c)
 	}
-	out := make([]uint32, 0, total)
-	for i, v := range r.vals {
-		for j := uint32(0); j < r.counts[i]; j++ {
-			out = append(out, v)
+	out := make([]uint32, max(total, numVertices+1))
+	i := 0
+	var last uint32
+	for run, v := range r.vals {
+		for end := i + int(r.counts[run]); i < end; i++ {
+			out[i] = v
 		}
+		last = v
+	}
+	for ; i < len(out); i++ {
+		out[i] = last
 	}
 	return out
+}
+
+// row returns the column range [lo, hi) of vertex v's row by scanning the
+// run counts: the dense array changes value exactly after each non-empty
+// row, so run i ends at the i-th non-empty row and vals[i], vals[i+1]
+// bracket it. Every other row — between boundaries, or past the last one
+// (vertices added after the cluster was built) — is empty.
+//
+//csce:hotpath the edge-existence probe of every InsertEdge/DeleteEdge; no dense row-start array
+func (r rle) row(v graph.VertexID) (lo, hi uint32) {
+	end := 0 // rows [0, end) are covered by the runs scanned so far
+	for i := 0; i+1 < len(r.counts); i++ {
+		end += int(r.counts[i])
+		if end-1 == int(v) {
+			return r.vals[i], r.vals[i+1]
+		}
+		if end-1 > int(v) {
+			break
+		}
+	}
+	return 0, 0
 }
 
 func (r rle) bytes() int { return 4 * (len(r.vals) + len(r.counts)) }

@@ -122,7 +122,7 @@ func TestRLERoundTrip(t *testing.T) {
 			cur += uint32(d % 3) // many repeats, like row starts
 			xs[i] = cur
 		}
-		got := compressRLE(xs).decompress()
+		got := compressRLE(xs).expand(len(xs) - 1)
 		if len(got) != len(xs) {
 			return false
 		}
@@ -143,7 +143,8 @@ func TestRLECompressionBound(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(seed, 200, 800, 4, 2, seed%2 == 0)
 		s := Build(g)
-		for k, c := range s.clusters {
+		for _, c := range s.clusters {
+			k := c.Key
 			if len(c.outRow.vals) > 2*c.NumEdges+1 {
 				t.Fatalf("cluster %v: outRow rle has %d runs for %d edges", k, len(c.outRow.vals), c.NumEdges)
 			}

@@ -2,6 +2,7 @@ package ccsr
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -18,7 +19,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	c := s.Clone()
 	// Clone compacts the source: no cluster on either side stays dirty.
-	for k, cl := range s.clusters {
+	for _, cl := range s.clusters {
+		k := cl.Key
 		if cl.dirty() {
 			t.Fatalf("source cluster %v dirty after Clone", k)
 		}
@@ -63,17 +65,226 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestCloneSharesNames pins the documented aliasing: the label table is
-// shared, everything else is private.
-func TestCloneSharesNames(t *testing.T) {
-	g := graph.MustParse("t undirected\nv 0 A\nv 1 B\ne 0 1 knows\n")
+// TestCloneSharingContract pins what Clone shares and what a write copies:
+// a fresh clone aliases the label array, the label table and every
+// compressed cluster of its source; the first write on one side makes a
+// private copy of exactly the part written and never reaches the other
+// side; and no cluster both sides can see is ever dirty.
+func TestCloneSharingContract(t *testing.T) {
+	g := graph.MustParse("t undirected\nv 0 A\nv 1 B\nv 2 B\ne 0 1 knows\ne 1 2 knows\n")
 	s := Build(g)
 	c := s.Clone()
+	knows := g.Names.Edge("knows")
+	ab, bb := NewKey(0, 1, knows, false), NewKey(1, 1, knows, false)
+
 	if c.Names() != s.Names() {
 		t.Fatal("label table must be shared across clones")
 	}
+	if &c.vertexLabels[0] != &s.vertexLabels[0] {
+		t.Fatal("a fresh clone must share the vertex label array")
+	}
+	if c.cluster(ab) != s.cluster(ab) || c.cluster(bb) != s.cluster(bb) {
+		t.Fatal("a fresh clone must share every compressed cluster")
+	}
+	if s.own != nil || c.own != nil {
+		t.Fatal("neither side of a Clone may own anything")
+	}
+	shared := s.cluster(ab)
+
+	// An edge write copies the one cluster it touches, on the writing side.
+	if err := c.DeleteEdge(0, 1, knows); err != nil {
+		t.Fatal(err)
+	}
+	if c.cluster(ab) == shared || !c.cluster(ab).dirty() {
+		t.Fatal("the writing side must edit a private copy of the touched cluster")
+	}
+	if s.cluster(ab) != shared || shared.dirty() || shared.NumEdges != 1 {
+		t.Fatal("the write reached the cluster the other side reads")
+	}
+	if c.cluster(bb) != s.cluster(bb) {
+		t.Fatal("an untouched cluster must stay shared")
+	}
+	if s.NumEdges() != 2 || c.NumEdges() != 1 {
+		t.Fatalf("edge counts %d/%d, want 2/1", s.NumEdges(), c.NumEdges())
+	}
+
+	// A vertex write copies the label array and histogram, same rule.
+	v := s.AddVertex(1)
 	if &c.vertexLabels[0] == &s.vertexLabels[0] {
-		t.Fatal("vertex label slice must be copied")
+		t.Fatal("AddVertex must move the writing side onto a private label array")
+	}
+	if c.NumVertices() != 3 || len(c.vertexLabels) != 3 || c.LabelFrequency(1) != 2 {
+		t.Fatal("AddVertex reached the other side")
+	}
+	if s.VertexLabel(v) != 1 || s.LabelFrequency(1) != 3 {
+		t.Fatal("AddVertex lost on the writing side")
+	}
+
+	// Cloning the dirty side seals it: compacted, nothing owned, and what
+	// its clone sees is clean.
+	cc := c.Clone()
+	if c.own != nil || c.cluster(ab).dirty() || cc.cluster(ab) != c.cluster(ab) {
+		t.Fatal("Clone must compact and release the receiver's private clusters before sharing them")
+	}
+	for _, st := range []*Store{s, c, cc} {
+		for i, cl := range st.clusters {
+			mine := false
+			if st.own != nil {
+				_, mine = st.own.clusters[i]
+			}
+			if !mine && cl.dirty() {
+				t.Fatalf("shared cluster %v is dirty", cl.Key)
+			}
+		}
+	}
+}
+
+// TestNewClusterLeavesSnapshotPairIndexAlone is the regression test for the
+// in-place key insert: the pair index is shared with published snapshots,
+// so creating a cluster on the writer must replace the key slice it
+// extends, not shift the one a snapshot is reading (run under -race).
+func TestNewClusterLeavesSnapshotPairIndexAlone(t *testing.T) {
+	// Edge labels b and c exist between the two A vertices; a, which sorts
+	// before both, does not — inserting it shifts every existing key.
+	g := graph.MustParse("t undirected\nv 0 A\nv 1 A\nv 2 A\ne 0 1 b\ne 1 2 c\n")
+	a := g.Names.Edge("a")
+	writer := Build(g)
+	snapshot := writer.Clone()
+	want := append([]Key(nil), snapshot.PairClusterKeys(0, 0)...)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got := snapshot.PairClusterKeys(0, 0)
+			if len(got) != len(want) {
+				t.Errorf("snapshot sees %d keys, want %d", len(got), len(want))
+				return
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("snapshot key %d = %v, want %v", i, got[i], want[i])
+					return
+				}
+			}
+		}
+	}()
+	if err := writer.InsertEdge(0, 2, a); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	if got := writer.PairClusterKeys(0, 0); len(got) != len(want)+1 {
+		t.Fatalf("writer indexes %d keys, want %d", len(got), len(want)+1)
+	}
+}
+
+// TestPropertyClonesStayIndependent interleaves random InsertEdge,
+// DeleteEdge, AddVertex and Clone across a growing family of stores cloned
+// from one another, keeps writing both sides of every clone, and checks
+// each store against Build of the graph its own edits describe. Every
+// Clone also leaves a sealed store that two goroutines read, and clone,
+// while the writers carry on — under -race that is the proof that nothing
+// reachable from a store that owns nothing is ever written.
+func TestPropertyClonesStayIndependent(t *testing.T) {
+	type tracked struct {
+		store  *Store
+		es     edgeSet
+		labels []graph.Label
+	}
+	fork := func(tr *tracked) *tracked {
+		es := make(edgeSet, len(tr.es))
+		for e := range tr.es {
+			es[e] = true
+		}
+		return &tracked{store: tr.store.Clone(), es: es, labels: append([]graph.Label(nil), tr.labels...)}
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		directed := seed%2 == 0
+		g := randomGraph(seed, 40, 120, 3, 2, directed)
+		live := []*tracked{{store: Build(g), es: edgeSetOf(g), labels: append([]graph.Label(nil), g.Labels()...)}}
+
+		var readers sync.WaitGroup
+		done := make(chan struct{})
+		for step := 0; step < 3000; step++ {
+			tr := live[rng.Intn(len(live))]
+			switch op := rng.Intn(100); {
+			case op < 3: // clone: keep writing both sides, and read a third
+				child := fork(tr)
+				if len(live) < 6 {
+					live = append(live, child)
+				} else {
+					live[rng.Intn(len(live))] = child
+				}
+				sealed := fork(tr)
+				want := Build(sealed.es.toGraph(sealed.labels, directed))
+				for r := 0; r < 2; r++ {
+					readers.Add(1)
+					go func() {
+						defer readers.Done()
+						for {
+							if !storesEquivalent(t, sealed.store, want) {
+								t.Error("a sealed store changed under its readers")
+								return
+							}
+							// Cloning a sealed store, and writing the clone,
+							// must leave it alone too.
+							c := sealed.store.Clone()
+							x, y := c.AddVertex(0), c.AddVertex(0)
+							if err := c.InsertEdge(x, y, 0); err != nil {
+								t.Error(err)
+								return
+							}
+							select {
+							case <-done:
+								return
+							default:
+							}
+						}
+					}()
+				}
+			case op < 6:
+				l := graph.Label(rng.Intn(3))
+				tr.store.AddVertex(l)
+				tr.labels = append(tr.labels, l)
+			default:
+				src := graph.VertexID(rng.Intn(len(tr.labels)))
+				dst := graph.VertexID(rng.Intn(len(tr.labels)))
+				el := graph.EdgeLabel(rng.Intn(2))
+				if src == dst {
+					continue
+				}
+				if tr.es.has(directed, src, dst, el) {
+					if err := tr.store.DeleteEdge(src, dst, el); err != nil {
+						t.Fatal(err)
+					}
+					delete(tr.es, [3]uint32{src, dst, uint32(el)})
+					if !directed {
+						delete(tr.es, [3]uint32{dst, src, uint32(el)})
+					}
+				} else {
+					if err := tr.store.InsertEdge(src, dst, el); err != nil {
+						t.Fatal(err)
+					}
+					tr.es[[3]uint32{src, dst, uint32(el)}] = true
+				}
+			}
+		}
+		close(done)
+		readers.Wait()
+		for i, tr := range live {
+			if !storesEquivalent(t, tr.store, Build(tr.es.toGraph(tr.labels, directed))) {
+				t.Fatalf("seed %d: store %d differs from Build of its own graph", seed, i)
+			}
+		}
 	}
 }
 
@@ -132,7 +343,7 @@ func TestCompactionExactlyAtThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := s.clusters[key]
+	c := s.cluster(key)
 	if !c.dirty() || len(c.addPairs) != deltaCompactionMin-1 {
 		t.Fatalf("one below threshold must stay lazy: dirty=%v adds=%d", c.dirty(), len(c.addPairs))
 	}
@@ -183,19 +394,19 @@ func TestCodecRoundTripWithPendingDeleteOverlay(t *testing.T) {
 
 	dirty := build()
 	key := NewKey(0, 0, 0, false)
-	if !dirty.clusters[key].dirty() {
+	if !dirty.cluster(key).dirty() {
 		t.Fatal("precondition: delete must leave a pending overlay")
 	}
 	var dirtyBuf bytes.Buffer
 	if err := dirty.Encode(&dirtyBuf); err != nil {
 		t.Fatal(err)
 	}
-	if dirty.clusters[key].dirty() {
+	if dirty.cluster(key).dirty() {
 		t.Fatal("Encode must compact pending overlays in place")
 	}
 
 	compacted := build()
-	compacted.compact(compacted.clusters[key])
+	compacted.compact(compacted.cluster(key))
 	var compactBuf bytes.Buffer
 	if err := compacted.Encode(&compactBuf); err != nil {
 		t.Fatal(err)

@@ -39,11 +39,7 @@ const (
 // Encode writes the store to w. Clusters with pending update overlays are
 // compacted first, so the serialized form is always overlay-free.
 func (s *Store) Encode(w io.Writer) error {
-	for _, c := range s.clusters {
-		if c.dirty() {
-			s.compact(c)
-		}
-	}
+	s.compactDirty()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(codecMagic); err != nil {
 		return err
@@ -91,7 +87,7 @@ func (s *Store) Encode(w io.Writer) error {
 		return binary.Write(bw, le, r.counts)
 	}
 	for _, k := range keys {
-		c := s.clusters[k]
+		c := s.cluster(k)
 		if err := binary.Write(bw, le, k.Src); err != nil {
 			return err
 		}
@@ -207,7 +203,7 @@ func Decode(r io.Reader) (*Store, error) {
 		numEdges:     int(ne),
 		vertexLabels: make([]graph.Label, nv),
 		labelFreq:    make(map[graph.Label]int),
-		clusters:     make(map[Key]*Compressed),
+		clusterAt:    make(map[Key]int),
 		pairIndex:    make(map[pairKey][]Key),
 	}
 	if err := binary.Read(br, le, s.vertexLabels); err != nil {
@@ -287,9 +283,10 @@ func Decode(r io.Reader) (*Store, error) {
 				return nil, err
 			}
 		}
-		s.clusters[k] = c
-		pk := newPairKey(k.Src, k.Dst)
-		s.pairIndex[pk] = append(s.pairIndex[pk], k)
+		if s.cluster(k) != nil {
+			return nil, fmt.Errorf("ccsr: duplicate cluster %v", k)
+		}
+		s.appendCluster(c)
 	}
 	if version >= 2 {
 		if s.names, err = readNames(br, le); err != nil {

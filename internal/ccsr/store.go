@@ -1,7 +1,9 @@
 package ccsr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"csce/internal/graph"
@@ -17,10 +19,21 @@ type Store struct {
 	numVertices  int
 	vertexLabels []graph.Label
 	labelFreq    map[graph.Label]int
-	clusters     map[Key]*Compressed
+	clusters     []*Compressed     // G_C, in creation order
+	clusterAt    map[Key]int       // cluster key -> position in clusters
 	pairIndex    map[pairKey][]Key // unordered label pair -> clusters, for (ux,uy)*-lookups
 	numEdges     int
 	names        *graph.LabelTable // symbolic label names of the originating graph (may be nil)
+
+	// clusterBytes is the sum of Compressed.Bytes over all clusters, kept
+	// current by every path that creates, edits or compacts a cluster.
+	clusterBytes int
+
+	// own records what this store may write in place; everything else is
+	// shared with its clones and copied on first write (see clone.go). nil
+	// means the store owns nothing, which is the state Build, Decode and
+	// Clone leave it in.
+	own *ownership
 }
 
 // Build clusters every edge of g into its isomorphism class and compresses
@@ -32,7 +45,7 @@ func Build(g *graph.Graph) *Store {
 		numVertices:  g.NumVertices(),
 		vertexLabels: append([]graph.Label(nil), g.Labels()...),
 		labelFreq:    make(map[graph.Label]int),
-		clusters:     make(map[Key]*Compressed),
+		clusterAt:    make(map[Key]int),
 		pairIndex:    make(map[pairKey][]Key),
 		numEdges:     g.NumEdges(),
 		names:        g.Names,
@@ -55,9 +68,7 @@ func Build(g *graph.Graph) *Store {
 	})
 
 	for key, pairs := range byKey {
-		s.clusters[key] = makeCompressed(key, pairs, s.numVertices)
-		pk := newPairKey(key.Src, key.Dst)
-		s.pairIndex[pk] = append(s.pairIndex[pk], key)
+		s.appendCluster(buildCluster(key, pairs, s.numVertices))
 	}
 	for _, keys := range s.pairIndex {
 		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
@@ -65,67 +76,90 @@ func Build(g *graph.Graph) *Store {
 	return s
 }
 
+// appendCluster adds a cluster while Build or Decode assembles a store
+// nothing else references yet; its pair-index slice is sorted afterwards.
+func (s *Store) appendCluster(c *Compressed) {
+	s.clusterAt[c.Key] = len(s.clusters)
+	s.clusters = append(s.clusters, c)
+	s.clusterBytes += c.Bytes()
+	pk := newPairKey(c.Key.Src, c.Key.Dst)
+	s.pairIndex[pk] = append(s.pairIndex[pk], c.Key)
+}
+
+// cluster returns the compressed cluster for k, or nil if there is none.
+func (s *Store) cluster(k Key) *Compressed {
+	if i, ok := s.clusterAt[k]; ok {
+		return s.clusters[i]
+	}
+	return nil
+}
+
 // pair is one stored edge orientation.
 type pair struct{ a, b graph.VertexID }
 
-// makeCompressed builds a compressed cluster from its pair list. For an
-// undirected key the list must already contain both orientations.
-func makeCompressed(key Key, pairs []pair, numVertices int) *Compressed {
-	n := uint32(numVertices)
-	c := &Compressed{Key: key}
-	if key.Directed {
-		c.NumEdges = len(pairs)
-	} else {
-		c.NumEdges = len(pairs) / 2
+// comparePairs orders pairs row-major: by a, then b.
+func comparePairs(x, y pair) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
 	}
+	return cmp.Compare(x.b, y.b)
+}
 
+func sortPairs(pairs []pair) { slices.SortFunc(pairs, comparePairs) }
+
+// buildCluster compresses a cluster from its pair list; Build, compaction
+// and the creation of an empty cluster all come through here, so there is
+// one definition of the at-rest arrays. For an undirected key the list
+// must already contain both orientations. pairs is consumed: sorted and,
+// for a directed key, flipped in place.
+func buildCluster(key Key, pairs []pair, numVertices int) *Compressed {
+	c := &Compressed{Key: key, NumEdges: len(pairs)}
+	if !key.Directed {
+		c.NumEdges /= 2
+	}
 	// Outgoing side: rows keyed by the first element of each pair.
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	outStart := make([]uint32, n+1)
-	outCol := make([]uint32, len(pairs))
-	for i, p := range pairs {
-		outCol[i] = uint32(p.b)
-	}
-	fillRowStarts(outStart, pairs, func(p pair) graph.VertexID { return p.a })
-	c.outRow = compressRLE(outStart)
-	c.outCol = outCol
-
+	sortPairs(pairs)
+	c.outRow, c.outCol = emitRuns(pairs, numVertices)
 	if key.Directed {
 		// Incoming side: rows keyed by destination.
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].b != pairs[j].b {
-				return pairs[i].b < pairs[j].b
-			}
-			return pairs[i].a < pairs[j].a
-		})
-		inStart := make([]uint32, n+1)
-		inCol := make([]uint32, len(pairs))
 		for i, p := range pairs {
-			inCol[i] = uint32(p.a)
+			pairs[i] = pair{p.b, p.a}
 		}
-		fillRowStarts(inStart, pairs, func(p pair) graph.VertexID { return p.b })
-		c.inRow = compressRLE(inStart)
-		c.inCol = inCol
+		sortPairs(pairs)
+		c.inRow, c.inCol = emitRuns(pairs, numVertices)
 	}
 	return c
 }
 
-// fillRowStarts computes CSR row starts for pairs sorted by rowOf.
-func fillRowStarts[P any](rowStart []uint32, pairs []P, rowOf func(P) graph.VertexID) {
-	n := len(rowStart) - 1
-	cur := 0
-	for v := 0; v < n; v++ {
-		rowStart[v] = uint32(cur)
-		for cur < len(pairs) && int(rowOf(pairs[cur])) == v {
-			cur++
+// emitRuns writes one CSR side from pairs sorted row-major: the column
+// array, and the row index as runs emitted straight from the list. The
+// dense row-start array (numVertices+1 entries) changes value right after
+// each non-empty row, so its run-length encoding is one run per non-empty
+// row — value: the row's first column offset, count: its distance from
+// the previous non-empty row — plus a closing run out to numVertices. The
+// dense array itself is never built, so the cost is O(len(pairs)).
+func emitRuns(pairs []pair, numVertices int) (rle, []uint32) {
+	col := make([]uint32, len(pairs))
+	rows := 0
+	for i, p := range pairs {
+		col[i] = p.b
+		if i == 0 || p.a != pairs[i-1].a {
+			rows++
 		}
 	}
-	rowStart[n] = uint32(cur)
+	r := rle{vals: make([]uint32, 0, rows+1), counts: make([]uint32, 0, rows+1)}
+	prev := -1 // the last non-empty row emitted
+	for i, p := range pairs {
+		if i > 0 && p.a == pairs[i-1].a {
+			continue
+		}
+		r.vals = append(r.vals, uint32(i))
+		r.counts = append(r.counts, uint32(int(p.a)-prev))
+		prev = int(p.a)
+	}
+	r.vals = append(r.vals, uint32(len(pairs)))
+	r.counts = append(r.counts, uint32(numVertices-prev))
+	return r, col
 }
 
 func keyLess(a, b Key) bool {
@@ -170,7 +204,7 @@ func (s *Store) LabelFrequency(l graph.Label) int { return s.labelFreq[l] }
 // if the cluster does not exist. This is the |I_C| statistic the GCF and
 // LDSF tie-breaking rules consume; it never decompresses anything.
 func (s *Store) ClusterSize(k Key) int {
-	if c, ok := s.clusters[k]; ok {
+	if c := s.cluster(k); c != nil {
 		return c.NumEdges
 	}
 	return 0
@@ -190,20 +224,17 @@ func (s *Store) PairClusterKeys(a, b graph.Label) []Key {
 	return s.pairIndex[newPairKey(a, b)]
 }
 
-// CompressedBytes returns the total at-rest footprint of all clusters.
+// CompressedBytes returns the total at-rest footprint of the vertex labels
+// and all clusters. It reads a running total, so it is O(1).
 func (s *Store) CompressedBytes() int {
-	total := 4 * len(s.vertexLabels) / 2 // labels are uint16
-	for _, c := range s.clusters {
-		total += c.Bytes()
-	}
-	return total
+	return 2*len(s.vertexLabels) + s.clusterBytes // labels are uint16
 }
 
 // Keys returns all cluster identifiers in deterministic order.
 func (s *Store) Keys() []Key {
 	keys := make([]Key, 0, len(s.clusters))
-	for k := range s.clusters {
-		keys = append(keys, k)
+	for _, c := range s.clusters {
+		keys = append(keys, c.Key)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	return keys
@@ -211,20 +242,20 @@ func (s *Store) Keys() []Key {
 
 // decompress builds the matchable form of cluster k. Clusters with
 // pending update overlays are compacted first so the CSR arrays always
-// reflect the current graph; row-start arrays are padded to cover vertices
-// added after the base was built.
+// reflect the current graph; row-start arrays are expanded to cover
+// vertices added after the base was built.
 func (s *Store) decompress(k Key) (*Cluster, error) {
-	c, ok := s.clusters[k]
-	if !ok {
+	c := s.cluster(k)
+	if c == nil {
 		return nil, fmt.Errorf("ccsr: no cluster %v", k)
 	}
 	if c.dirty() {
 		s.compact(c)
 	}
-	out := &CSR{rowStart: padRowStarts(c.outRow.decompress(), s.numVertices), col: c.outCol}
+	out := &CSR{rowStart: c.outRow.expand(s.numVertices), col: c.outCol}
 	cl := &Cluster{Key: k, NumEdges: c.NumEdges, Out: out}
 	if k.Directed {
-		cl.In = &CSR{rowStart: padRowStarts(c.inRow.decompress(), s.numVertices), col: c.inCol}
+		cl.In = &CSR{rowStart: c.inRow.expand(s.numVertices), col: c.inCol}
 	}
 	return cl, nil
 }

@@ -2,7 +2,7 @@ package ccsr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"csce/internal/graph"
 )
@@ -14,6 +14,15 @@ import (
 // overlays (inserted and deleted edge pairs) that decompression merges
 // with the base arrays, and a cluster is compacted — its base rebuilt —
 // once the overlay grows past a fraction of its size.
+//
+// An edge belongs to exactly one cluster, and an update costs that cluster
+// at most — never the graph. The existence probe scans the cluster's run
+// counts (O(non-empty rows), allocation-free); compaction walks the runs,
+// merges the sorted overlays and re-emits runs, O(cluster + overlay·log
+// overlay), plus one sort of the incoming side for a directed cluster. No
+// step allocates or touches anything sized by the vertex count. Writes go
+// to private copies under the copy-on-write rules of clone.go, so the same
+// bound holds for what a commit copies.
 //
 // Update semantics match Build exactly: a mutated store is always
 // equivalent to Build applied to the mutated graph (asserted by the
@@ -31,6 +40,7 @@ const (
 // returns its ID. The new vertex has no edges; cluster row indices are
 // extended lazily at decompression time.
 func (s *Store) AddVertex(l graph.Label) graph.VertexID {
+	s.ownLabels()
 	s.vertexLabels = append(s.vertexLabels, l)
 	s.labelFreq[l]++
 	s.numVertices++
@@ -48,18 +58,12 @@ func (s *Store) InsertEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 		return fmt.Errorf("ccsr: edge (%d,%d,e%d) already present", src, dst, el)
 	}
 	key := NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed)
-	c, ok := s.clusters[key]
-	if !ok {
-		c = &Compressed{Key: key}
-		// Empty base: an all-zero row-start array compresses to one run.
-		c.outRow = compressRLE(make([]uint32, s.numVertices+1))
-		if key.Directed {
-			c.inRow = compressRLE(make([]uint32, s.numVertices+1))
-		}
-		s.clusters[key] = c
-		pk := newPairKey(key.Src, key.Dst)
-		s.pairIndex[pk] = insertKeySorted(s.pairIndex[pk], key)
+	c := s.writableCluster(key)
+	if c == nil {
+		c = buildCluster(key, nil, s.numVertices)
+		s.createCluster(c)
 	}
+	before := c.Bytes()
 	// Re-inserting a base edge that carries a tombstone cancels the
 	// tombstone instead of stacking an insert on top of it, keeping every
 	// pair in at most one overlay.
@@ -75,6 +79,7 @@ func (s *Store) InsertEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 	}
 	c.NumEdges++
 	s.numEdges++
+	s.clusterBytes += c.Bytes() - before
 	s.maybeCompact(c)
 	return nil
 }
@@ -84,11 +89,11 @@ func (s *Store) DeleteEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 	if err := s.checkEndpoints(src, dst); err != nil {
 		return err
 	}
-	key := NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed)
-	c, ok := s.clusters[key]
-	if !ok || !s.hasEdge(src, dst, el) {
+	if !s.hasEdge(src, dst, el) {
 		return fmt.Errorf("ccsr: edge (%d,%d,e%d) not present", src, dst, el)
 	}
+	c := s.writableCluster(NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed))
+	before := c.Bytes()
 	// If the edge is still in the insert overlay, cancel it there;
 	// otherwise record a tombstone.
 	if removePair(&c.addPairs, pair{src, dst}) {
@@ -103,16 +108,19 @@ func (s *Store) DeleteEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 	}
 	c.NumEdges--
 	s.numEdges--
+	s.clusterBytes += c.Bytes() - before
 	s.maybeCompact(c)
 	return nil
 }
 
 // hasEdge reports whether the store currently holds the edge, consulting
-// base arrays and overlays.
+// the overlays and then the compressed base row.
+//
+//csce:hotpath runs on every InsertEdge and DeleteEdge; must not inflate the row index
 func (s *Store) hasEdge(src, dst graph.VertexID, el graph.EdgeLabel) bool {
 	key := NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed)
-	c, ok := s.clusters[key]
-	if !ok {
+	c := s.cluster(key)
+	if c == nil {
 		return false
 	}
 	p := pair{src, dst}
@@ -126,17 +134,17 @@ func (s *Store) hasEdge(src, dst graph.VertexID, el graph.EdgeLabel) bool {
 			return true
 		}
 	}
-	return baseHasPair(c, p, s.numVertices)
+	return c.baseHasPair(p)
 }
 
-// baseHasPair checks the compressed base arrays for one orientation.
-func baseHasPair(c *Compressed, p pair, numVertices int) bool {
-	rowStart := c.outRow.decompress()
-	rowStart = padRowStarts(rowStart, numVertices)
-	lo, hi := rowStart[p.a], rowStart[p.a+1]
-	row := c.outCol[lo:hi]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= uint32(p.b) })
-	return i < len(row) && row[i] == uint32(p.b)
+// baseHasPair checks the compressed base arrays for one orientation: the
+// row is located on the run-length-encoded index directly, then searched.
+//
+//csce:hotpath
+func (c *Compressed) baseHasPair(p pair) bool {
+	lo, hi := c.outRow.row(p.a)
+	_, found := slices.BinarySearch(c.outCol[lo:hi], p.b)
+	return found
 }
 
 func (s *Store) checkEndpoints(src, dst graph.VertexID) error {
@@ -159,43 +167,41 @@ func (s *Store) maybeCompact(c *Compressed) {
 	s.compact(c)
 }
 
-// compact merges the overlays of c into fresh base arrays.
+// compact merges the overlays of c into fresh base arrays. c must be a
+// cluster this store owns, which every dirty cluster is.
 func (s *Store) compact(c *Compressed) {
-	pairs := c.mergedPairs(s.numVertices)
-	*c = *makeCompressed(c.Key, pairs, s.numVertices)
+	before := c.Bytes()
+	*c = *buildCluster(c.Key, c.mergedPairs(), s.numVertices)
+	s.clusterBytes += c.Bytes() - before
 }
 
-// mergedPairs materializes the cluster's current pair list.
-func (c *Compressed) mergedPairs(numVertices int) []pair {
-	rowStart := padRowStarts(c.outRow.decompress(), numVertices)
-	dead := make(map[pair]bool, len(c.delPairs))
-	for _, d := range c.delPairs {
-		dead[d] = true
-	}
-	est := len(c.outCol) + len(c.addPairs) - len(c.delPairs)
-	if est < 0 {
-		est = 0
-	}
-	pairs := make([]pair, 0, est)
-	for v := 0; v < numVertices && v+1 < len(rowStart); v++ {
-		for _, w := range c.outCol[rowStart[v]:rowStart[v+1]] {
-			p := pair{graph.VertexID(v), w}
-			if !dead[p] {
-				pairs = append(pairs, p)
+// mergedPairs materializes the cluster's current pair list, row-major: a
+// walk over the base's runs — each run boundary is one non-empty row —
+// that drops tombstoned pairs and merges in the insert overlay. Both
+// overlays are sorted in place for the merge; every tombstone names a base
+// pair and no inserted pair is one.
+func (c *Compressed) mergedPairs() []pair {
+	sortPairs(c.addPairs)
+	sortPairs(c.delPairs)
+	add, del := c.addPairs, c.delPairs
+	pairs := make([]pair, 0, len(c.outCol)+len(add)-len(del))
+	row := -1
+	for i := 0; i+1 < len(c.outRow.counts); i++ {
+		row += int(c.outRow.counts[i])
+		for _, w := range c.outCol[c.outRow.vals[i]:c.outRow.vals[i+1]] {
+			p := pair{graph.VertexID(row), w}
+			for len(add) > 0 && comparePairs(add[0], p) < 0 {
+				pairs = append(pairs, add[0])
+				add = add[1:]
 			}
+			if len(del) > 0 && del[0] == p {
+				del = del[1:]
+				continue
+			}
+			pairs = append(pairs, p)
 		}
 	}
-	pairs = append(pairs, c.addPairs...)
-	return pairs
-}
-
-// padRowStarts extends a decompressed row-start array to cover vertices
-// added after the base was built.
-func padRowStarts(rowStart []uint32, numVertices int) []uint32 {
-	for len(rowStart) < numVertices+1 {
-		rowStart = append(rowStart, rowStart[len(rowStart)-1])
-	}
-	return rowStart
+	return append(pairs, add...)
 }
 
 func removePair(ps *[]pair, p pair) bool {
@@ -207,12 +213,4 @@ func removePair(ps *[]pair, p pair) bool {
 		}
 	}
 	return false
-}
-
-func insertKeySorted(keys []Key, k Key) []Key {
-	i := sort.Search(len(keys), func(i int) bool { return !keyLess(keys[i], k) })
-	keys = append(keys, Key{})
-	copy(keys[i+1:], keys[i:])
-	keys[i] = k
-	return keys
 }

@@ -233,7 +233,7 @@ func TestCompactionTriggers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := s.clusters[key]
+	c := s.cluster(key)
 	if c.dirty() && len(c.addPairs) > 2*deltaCompactionMin+16 {
 		t.Fatalf("overlay never compacted: %d adds", len(c.addPairs))
 	}
@@ -280,7 +280,8 @@ func TestApplyBatch(t *testing.T) {
 		t.Fatalf("after batch: %d vertices %d edges, want 4 and 2", s.NumVertices(), s.NumEdges())
 	}
 	// Compaction ran: no cluster stays dirty.
-	for k, c := range s.clusters {
+	for _, c := range s.clusters {
+		k := c.Key
 		if c.dirty() {
 			t.Fatalf("cluster %v still dirty after batch", k)
 		}

@@ -65,7 +65,7 @@ func (v *View) load(k Key) error {
 	if _, done := v.clusters[k]; done {
 		return nil
 	}
-	if _, ok := v.store.clusters[k]; !ok {
+	if v.store.cluster(k) == nil {
 		return nil
 	}
 	c, err := v.store.decompress(k)

@@ -75,17 +75,12 @@ func embeddingsUsing(store *ccsr.Store, p *graph.Graph, inserted Edge, opts Opti
 	if opts.Variant == graph.VertexInduced {
 		return 0, fmt.Errorf("delta: vertex-induced matching is not monotone under edge updates; recount instead")
 	}
-	pl, err := plan.Optimize(p, store, opts.Variant, plan.ModeCSCE)
-	if err != nil {
-		return 0, fmt.Errorf("delta: %w", err)
-	}
-	view, err := store.ReadCSR(p, opts.Variant)
-	if err != nil {
-		return 0, fmt.Errorf("delta: %w", err)
-	}
 
 	// The candidate pins: every pattern edge whose labels match the
-	// insertion, in both orientations for undirected graphs.
+	// insertion, in both orientations for undirected graphs. They come
+	// first because most mutations pin nothing on a given pattern, and
+	// without a pin there is no embedding to find: planning and reading
+	// the clusters (which compacts the pattern's dirty ones) are skipped.
 	type pin struct{ a, b graph.VertexID } // f(a)=Src, f(b)=Dst
 	var pins []pin
 	srcL := store.VertexLabel(inserted.Src)
@@ -107,6 +102,18 @@ func embeddingsUsing(store *ccsr.Store, p *graph.Graph, inserted Edge, opts Opti
 			pins = append(pins, pin{ub, ua})
 		}
 	})
+	if len(pins) == 0 {
+		return 0, nil
+	}
+
+	pl, err := plan.Optimize(p, store, opts.Variant, plan.ModeCSCE)
+	if err != nil {
+		return 0, fmt.Errorf("delta: %w", err)
+	}
+	view, err := store.ReadCSR(p, opts.Variant)
+	if err != nil {
+		return 0, fmt.Errorf("delta: %w", err)
+	}
 
 	// mapsOnInsertion reports whether embedding m maps pattern pair
 	// (a, b) onto the inserted edge (in the pin's orientation).

@@ -250,3 +250,62 @@ func TestDeltaLimit(t *testing.T) {
 		t.Fatalf("limited delta = %d, want 1", n)
 	}
 }
+
+// TestDeltaWithoutPinLeavesStoreAlone pins the pins-first order: a mutated
+// edge that no pattern edge can map onto — wrong endpoint labels, or the
+// right ones under another edge label — yields 0 before anything is
+// planned or read. Reading would compact the pattern's dirty cluster, and
+// dropping two tombstones and two columns shrinks the store's byte total,
+// so an unchanged total shows the store was not touched; the matching
+// edge, as the control, does compact it.
+func TestDeltaWithoutPinLeavesStoreAlone(t *testing.T) {
+	// A(0)-B(1), A(0)-B(2) and C(3)-C(4), all under edge label 0.
+	b := graph.NewBuilder(false)
+	a := b.AddVertex(0)
+	b1, b2 := b.AddVertex(1), b.AddVertex(1)
+	c1, c2 := b.AddVertex(2), b.AddVertex(2)
+	b.AddEdge(a, b1, 0)
+	b.AddEdge(a, b2, 0)
+	b.AddEdge(c1, c2, 0)
+	store := ccsr.Build(b.MustBuild())
+
+	pb := graph.NewBuilder(false)
+	pb.AddEdge(pb.AddVertex(0), pb.AddVertex(1), 0) // the pattern: one A-B edge
+	p := pb.MustBuild()
+
+	// Leave the pattern's cluster dirty, and put an A-B edge under another
+	// label next to it.
+	if err := store.DeleteEdge(a, b2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.InsertEdge(a, b2, 1); err != nil {
+		t.Fatal(err)
+	}
+	dirtyBytes := store.CompressedBytes()
+
+	for name, e := range map[string]Edge{
+		"other vertex labels": {Src: c1, Dst: c2, Label: 0},
+		"other edge label":    {Src: a, Dst: b2, Label: 1},
+	} {
+		for _, enumerate := range []func(*ccsr.Store, *graph.Graph, Edge, Options) (uint64, error){NewEmbeddings, RemovedEmbeddings} {
+			n, err := enumerate(store, p, e, Options{
+				Variant:     graph.EdgeInduced,
+				OnEmbedding: func([]graph.VertexID) bool { t.Errorf("%s: streamed an embedding", name); return true },
+			})
+			if err != nil || n != 0 {
+				t.Fatalf("%s: got %d, %v; want 0, nil", name, n, err)
+			}
+			if got := store.CompressedBytes(); got != dirtyBytes {
+				t.Fatalf("%s: store went from %d to %d bytes: the no-pin path read it", name, dirtyBytes, got)
+			}
+		}
+	}
+
+	n, err := RemovedEmbeddings(store, p, Edge{Src: a, Dst: b1, Label: 0}, Options{Variant: graph.EdgeInduced})
+	if err != nil || n != 1 {
+		t.Fatalf("matching edge: got %d, %v; want 1, nil", n, err)
+	}
+	if got := store.CompressedBytes(); got >= dirtyBytes {
+		t.Fatalf("control: reading the pattern's cluster should have compacted it (%d -> %d bytes)", dirtyBytes, got)
+	}
+}

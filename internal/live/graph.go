@@ -588,15 +588,19 @@ func (g *Graph) stageEventsLocked(
 }
 
 // rollbackLocked discards the writer's speculative state by re-cloning the
-// published snapshot (whose store is compacted and immutable, so cloning
-// it never mutates what readers see).
+// published snapshot. Readers hold that store, but it is a Clone result
+// nobody ever wrote, so it owns nothing and Clone writes nothing to it.
 func (g *Graph) rollbackLocked() {
 	g.writer = g.cur.Store().Clone()
 }
 
 // publishLocked clones the writer into a fresh immutable snapshot and
-// swaps it in. Old snapshot: publisher reference dropped, so it drains
-// once the last in-flight query releases it.
+// swaps it in. The clone copies nothing: it seals the writer (compacts the
+// clusters the batch dirtied, drops their ownership) and from then on
+// shares every cluster with it; the writer copies a cluster again the next
+// time a batch writes it, so the snapshot is never written. Old snapshot:
+// publisher reference dropped, so it drains once the last in-flight query
+// releases it.
 func (g *Graph) publishLocked() {
 	next := g.writer.Clone()
 	g.epoch++
@@ -689,7 +693,10 @@ type Stats struct {
 	// GC pressure of retained (undrained) snapshots: how many bytes of
 	// compressed store the unreleased epochs pin, which epoch has been
 	// pinned the longest, and for how long. A rising age under mutation
-	// load means some reader is sitting on an old snapshot.
+	// load means some reader is sitting on an old snapshot. SnapshotBytes
+	// is an upper bound: it adds up each pinned epoch's full store size,
+	// so arrays that several pinned epochs share (every cluster no batch
+	// between them wrote) are counted once per epoch, not once.
 	SnapshotBytes     int64   `json:"snapshot_bytes"`
 	OldestPinnedEpoch uint64  `json:"oldest_pinned_epoch"`
 	OldestPinnedAge   float64 `json:"oldest_pinned_age_seconds"`

@@ -351,6 +351,84 @@ func TestConcurrentReadersAcrossSwaps(t *testing.T) {
 	}
 }
 
+// TestSharedSnapshotsSurviveWriterChurn is the copy-on-write contract seen
+// from the commit path, for the race detector: readers pin snapshots that
+// share every untouched cluster, the label array and both key indexes with
+// the writer, while batches delete and re-insert edges, create clusters
+// under fresh edge labels (which extends the pair index the snapshots
+// read), add vertices, and — every third batch — fail, so the writer is
+// re-cloned from the published store with readers inside it. Each reader
+// checks its pinned epoch against that epoch's exact counts; the vertex-
+// induced count walks the pair index.
+func TestSharedSnapshotsSurviveWriterChurn(t *testing.T) {
+	g := newTestGraph(t, pathGraph, Options{})
+	names := g.Names()
+
+	// Epoch e holds the base path plus e/2 labelled 0-3 edges (rounded up)
+	// and e/2 extra vertices; only the unlabelled 1-2 edge ever goes away
+	// and comes back within one batch.
+	const commits = 60
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := g.Acquire()
+				edges, err1 := snap.Engine().Count(edgePattern, graph.EdgeInduced)
+				induced, err2 := snap.Engine().Count(edgePattern, graph.VertexInduced)
+				epoch, vertices := snap.Epoch(), snap.Store().NumVertices()
+				snap.Release()
+				if err1 != nil || err2 != nil {
+					t.Error(err1, err2)
+					return
+				}
+				// The pattern's edge is unlabelled: 0-1 and 1-2 match in
+				// both orientations at every epoch, and as induced pairs
+				// too, since no labelled edge joins those endpoints.
+				if edges != 4 || induced != 4 || vertices != 4+int(epoch/2) {
+					t.Errorf("epoch %d saw %d/%d mappings on %d vertices", epoch, edges, induced, vertices)
+					return
+				}
+			}
+		}()
+	}
+	ctx := context.Background()
+	for i := 0; i < commits; i++ {
+		batch := []Mutation{
+			{Op: OpDeleteEdge, Src: 1, Dst: 2},
+			{Op: OpInsertEdge, Src: 1, Dst: 2},
+		}
+		if i%2 == 0 {
+			name := "fresh" + strings.Repeat("'", i/2)
+			batch = append(batch, Mutation{Op: OpInsertEdge, Src: 0, Dst: 3,
+				EdgeLabel: names.Edge(name), LabelName: name, LabelNamed: true})
+		} else {
+			batch = append(batch, Mutation{Op: OpAddVertex, VertexLabel: 0})
+		}
+		if _, err := g.Mutate(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			bad := append(append([]Mutation(nil), batch[:2]...), Mutation{Op: OpDeleteEdge, Src: 0, Dst: 2})
+			if _, err := g.Mutate(ctx, bad); err == nil {
+				t.Fatal("deleting a missing edge must fail the batch")
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := g.Stats(); st.Epoch != commits || st.BatchesFailed != commits/3 {
+		t.Fatalf("epoch %d with %d failed batches, want %d and %d", st.Epoch, st.BatchesFailed, commits, commits/3)
+	}
+}
+
 // TestMutateAfterClose pins ErrClosed.
 func TestMutateAfterClose(t *testing.T) {
 	g := newTestGraph(t, pathGraph, Options{})
