@@ -20,10 +20,12 @@ race:
 # of the whole-suite `race` target. The ccsr line is the copy-on-write
 # contract underneath the swap: snapshots share clusters and indexes with
 # the writer, and these tests read and clone the shared side while the
-# other is written.
+# other is written — TestSharedSnapshotReadsWriteNothing matches queries
+# straight off a published snapshot's own clusters while a writer churns
+# clones of it.
 live-race:
 	$(GO) test -race -count=2 ./internal/live
-	$(GO) test -race -count=2 -run 'TestClone|TestNewClusterLeavesSnapshotPairIndexAlone|TestPropertyClonesStayIndependent' ./internal/ccsr
+	$(GO) test -race -count=2 -run 'TestClone|TestNewClusterLeavesSnapshotPairIndexAlone|TestPropertyClonesStayIndependent|TestSharedSnapshotReadsWriteNothing' ./internal/ccsr
 	$(GO) test -race -count=2 -run 'TestE2EConcurrentReadersAcrossSwaps|TestSubscribeDeltaEquation|TestMutateEndpoint' ./internal/server
 
 # Focused race pass over the scatter-gather subsystem: the coordinator
@@ -85,11 +87,13 @@ docscheck:
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Ten seconds of native fuzzing over the WAL's one frame scanner and record
-# decoder, on top of the seed corpus in internal/live/testdata/fuzz (which
-# every plain `go test` run already replays).
+# Ten seconds of native fuzzing each over the WAL's one frame scanner and
+# record decoder and over the CCSR store decoder, on top of their seed
+# corpora (internal/live/testdata/fuzz and the f.Add calls of FuzzDecode,
+# which every plain `go test` run already replays).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 10s ./internal/live
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/ccsr
 
 ci: build vet lint alloc-gate docscheck test race live-race crash-race shard-race prefilter-race bench-selftest fuzz-smoke
 

@@ -17,7 +17,9 @@ import (
 
 	"csce"
 	"csce/internal/bench"
+	"csce/internal/ccsr"
 	"csce/internal/dataset"
+	"csce/internal/graph"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -52,6 +54,75 @@ func BenchmarkFig12SCEOccurrence(b *testing.B)       { runExperiment(b, "fig12")
 func BenchmarkFig13PlanQuality(b *testing.B)         { runExperiment(b, "fig13") }
 func BenchmarkFig14SymmetryAndDensity(b *testing.B)  { runExperiment(b, "fig14") }
 func BenchmarkCaseStudyMotifClustering(b *testing.B) { runExperiment(b, "casestudy") }
+
+// ---- CCSR read path (the cost Fig. 11 prices per task, per query here) ----
+
+// BenchmarkReadCSR measures Algorithm 1's selection alone in its costliest
+// serving-path case: a dense 8-vertex pattern on the Human analogue,
+// vertex-induced, so every (ux,uy)*-cluster of every pattern vertex pair is
+// selected. A view is a map of pointers to the store's own clusters, so
+// B/op is that map and nothing sized by the graph; view-bytes/op is what
+// those clusters hold, none of it copied.
+func BenchmarkReadCSR(b *testing.B) {
+	spec, _ := dataset.ByName("Human")
+	g := spec.Generate()
+	store := csce.NewEngine(g).Store()
+	patterns, err := dataset.SamplePatterns(g, dataset.PatternConfig{Size: 8, Dense: true, Count: 8, Seed: 77})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var clusters, bytes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view, err := store.ReadCSR(patterns[i%len(patterns)], csce.VertexInduced)
+		if err != nil {
+			b.Fatal(err)
+		}
+		clusters += view.NumClusters()
+		bytes += view.DecompressedBytes()
+	}
+	b.ReportMetric(float64(clusters)/float64(b.N), "clusters/op")
+	b.ReportMetric(float64(bytes)/float64(b.N), "view-bytes/op")
+}
+
+// BenchmarkRowLookup prices the O(log non-empty rows) directory search
+// under every CSR.Row, on the largest cluster of each serving dataset:
+// lookups of rows that exist, in shuffled order so the search path is cold
+// in the branch predictor the way a matching order's parents are.
+func BenchmarkRowLookup(b *testing.B) {
+	for _, name := range []string{"Yeast", "Human", "Patent"} {
+		spec, _ := dataset.ByName(name)
+		g := spec.Generate()
+		store := csce.NewEngine(g).Store()
+		var key ccsr.Key
+		for _, k := range store.Keys() {
+			if store.ClusterSize(k) > store.ClusterSize(key) {
+				key = k
+			}
+		}
+		pb := graph.NewBuilder(g.Directed())
+		pb.AddVertex(key.Src)
+		pb.AddVertex(key.Dst)
+		pb.AddEdge(0, 1, key.Edge)
+		view, err := store.ReadCSR(pb.MustBuild(), csce.EdgeInduced)
+		if err != nil {
+			b.Fatal(err)
+		}
+		csr := view.Cluster(key).Out
+		probes := append([]graph.VertexID(nil), csr.NonEmptyRows()...)
+		rand.New(rand.NewSource(1)).Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+		b.Run(fmt.Sprintf("%s/rows=%d", name, len(probes)), func(b *testing.B) {
+			total := 0
+			for i := 0; i < b.N; i++ {
+				total += len(csr.Row(probes[i%len(probes)]))
+			}
+			if total == 0 {
+				b.Fatal("every probed row was empty")
+			}
+		})
+	}
+}
 
 // ---- engine micro-benchmarks ----
 

@@ -207,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "time: total=%v read=%v plan=%v exec=%v (wall %v)\n",
 		res.Total(), res.ReadTime, res.PlanTime, res.ExecTime, time.Since(start))
-	fmt.Fprintf(stdout, "clusters read: %d (%.2f MB decompressed)\n",
+	fmt.Fprintf(stdout, "clusters read: %d (%.2f MB referenced)\n",
 		res.ClustersRead, float64(res.ViewBytes)/1e6)
 	fmt.Fprintf(stdout, "exec: steps=%d candidate builds=%d reuses=%d nec-shares=%d factorized=%d timedout=%v\n",
 		res.Exec.Steps, res.Exec.CandidateBuilds, res.Exec.CandidateReuses,

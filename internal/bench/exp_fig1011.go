@@ -55,8 +55,8 @@ func runFig10(cfg Config) error {
 	return nil
 }
 
-// runFig11 measures CCSR read overhead: ReadCSR time and decompressed
-// bytes across data graph label counts (20/200/2000) and pattern sizes
+// runFig11 measures CCSR read overhead: ReadCSR time and the bytes of the
+// clusters it selects (referenced in place, not expanded) across data graph label counts (20/200/2000) and pattern sizes
 // (Finding 11: overhead acceptable, grows with labels).
 func runFig11(cfg Config) error {
 	cfg = cfg.withDefaults()

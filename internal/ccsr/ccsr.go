@@ -2,20 +2,23 @@
 // (CCSR) index (Section IV). The data graph is clustered offline into
 // edge-isomorphism classes — all edges sharing endpoint labels, edge label,
 // and direction land in the same cluster — and each cluster is stored as
-// run-length-compressed CSR arrays. At query time, ReadCSR (Algorithm 1)
-// selects and decompresses only the clusters a pattern needs, so candidate
-// lookup is a direct cluster access instead of repeated label matching.
+// CSR arrays whose row index lists the non-empty rows only. At query time,
+// ReadCSR (Algorithm 1) selects only the clusters a pattern needs, so
+// candidate lookup is a direct cluster access instead of repeated label
+// matching. Deviating from the paper, selecting is all ReadCSR does: the
+// row index is searched where it lies and never expanded into a dense
+// per-vertex array, because a serving daemon cannot afford O(vertices) per
+// cluster per query (see DESIGN.md, "CCSR layout").
 //
 // Space follows the paper's analysis: every edge appears exactly twice
 // across all clusters (outgoing+incoming CSR for directed clusters, both
-// orientations in one CSR for undirected clusters), and the run-length
-// compression of row indices keeps the total row-index footprint at no more
-// than two integers per edge.
+// orientations in one CSR for undirected clusters), and the row index costs
+// two integers per non-empty row — what the paper's run-length compression
+// of a dense row-start array costs — so no more than two integers per edge.
 package ccsr
 
 import (
 	"fmt"
-	"sort"
 
 	"csce/internal/graph"
 )
@@ -60,70 +63,18 @@ func newPairKey(a, b graph.Label) pairKey {
 	return pairKey{a, b}
 }
 
-// rle is a run-length-encoded non-decreasing uint32 sequence, used to
-// compress CSR row-start arrays: vals[i] repeats counts[i] times.
-type rle struct {
-	vals   []uint32
-	counts []uint32
-}
-
-// expand returns the dense row-start array the runs encode, numVertices+1
-// entries long: vertices appended after the cluster was built repeat the
-// final value, i.e. their rows are empty.
-func (r rle) expand(numVertices int) []uint32 {
-	total := 0
-	for _, c := range r.counts {
-		total += int(c)
-	}
-	out := make([]uint32, max(total, numVertices+1))
-	i := 0
-	var last uint32
-	for run, v := range r.vals {
-		for end := i + int(r.counts[run]); i < end; i++ {
-			out[i] = v
-		}
-		last = v
-	}
-	for ; i < len(out); i++ {
-		out[i] = last
-	}
-	return out
-}
-
-// row returns the column range [lo, hi) of vertex v's row by scanning the
-// run counts: the dense array changes value exactly after each non-empty
-// row, so run i ends at the i-th non-empty row and vals[i], vals[i+1]
-// bracket it. Every other row — between boundaries, or past the last one
-// (vertices added after the cluster was built) — is empty.
-//
-//csce:hotpath the edge-existence probe of every InsertEdge/DeleteEdge; no dense row-start array
-func (r rle) row(v graph.VertexID) (lo, hi uint32) {
-	end := 0 // rows [0, end) are covered by the runs scanned so far
-	for i := 0; i+1 < len(r.counts); i++ {
-		end += int(r.counts[i])
-		if end-1 == int(v) {
-			return r.vals[i], r.vals[i+1]
-		}
-		if end-1 > int(v) {
-			break
-		}
-	}
-	return 0, 0
-}
-
-func (r rle) bytes() int { return 4 * (len(r.vals) + len(r.counts)) }
-
-// Compressed is the at-rest form of one cluster: run-length-compressed
-// base CSR arrays plus the incremental-update overlays maintained by
-// InsertEdge/DeleteEdge (merged back into the base by compaction).
+// Compressed is the at-rest form of one cluster, which is also its
+// matchable form: the base arrays, built once by buildCluster or Decode and
+// never edited afterwards, plus the incremental-update overlays maintained
+// by InsertEdge/DeleteEdge (merged into a fresh base by compaction).
 type Compressed struct {
 	Key      Key
-	NumEdges int
+	NumEdges int // the current count, overlays included
 
-	outRow rle
-	outCol []uint32
-	inRow  rle // directed clusters only
-	inCol  []uint32
+	// base is immutable and is what ReadCSR hands to queries, so whoever
+	// holds it — any number of views, on any epoch — needs no copy and no
+	// synchronization. Compaction replaces the pointer.
+	base *Cluster
 
 	// Update overlays: edges inserted since the base was built, and
 	// tombstones for deleted base edges. Undirected clusters carry both
@@ -138,60 +89,91 @@ func (c *Compressed) dirty() bool { return len(c.addPairs)+len(c.delPairs) > 0 }
 // Bytes returns the approximate in-memory footprint of the compressed
 // cluster, used for the Fig. 11 overhead experiment.
 func (c *Compressed) Bytes() int {
-	return c.outRow.bytes() + 4*len(c.outCol) + c.inRow.bytes() + 4*len(c.inCol) +
-		8*(len(c.addPairs)+len(c.delPairs))
+	return c.base.Bytes() + 8*(len(c.addPairs)+len(c.delPairs))
 }
 
-// CSR is a decompressed compressed-sparse-row adjacency: Row(v) returns the
-// sorted neighbor list of v in constant time, as the paper requires.
+// CSR is one side of a cluster: a compressed-sparse-row adjacency whose row
+// index is a directory of the non-empty rows only — their ascending vertex
+// ids and, one longer, their column offsets. That is the two integers per
+// non-empty row the paper's run-length-compressed row index costs (the run
+// counts are the first differences of the ids), kept in the form a lookup
+// can binary-search, so there is nothing to decompress before matching.
+// Row(v) costs O(log non-empty rows); a vertex absent from the directory,
+// including any added after the cluster was built, has an empty row. A CSR
+// is never written after it is built.
 type CSR struct {
-	rowStart []uint32 // length numVertices+1
-	col      []graph.VertexID
-
-	nonEmpty []graph.VertexID // lazily built list of vertices with a non-empty row
+	rows []graph.VertexID // ascending ids of the non-empty rows
+	offs []uint32         // len(rows)+1 offsets: row rows[i] is col[offs[i]:offs[i+1]]
+	col  []graph.VertexID
 }
 
-// Row returns the sorted neighbors of v within this cluster CSR.
-func (c *CSR) Row(v graph.VertexID) []graph.VertexID {
-	return c.col[c.rowStart[v]:c.rowStart[v+1]]
-}
-
-// RowLen returns len(Row(v)) without slicing.
-func (c *CSR) RowLen(v graph.VertexID) int {
-	return int(c.rowStart[v+1] - c.rowStart[v])
-}
-
-// Has reports whether w appears in v's row, by binary search.
-func (c *CSR) Has(v, w graph.VertexID) bool {
-	row := c.Row(v)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= w })
-	return i < len(row) && row[i] == w
-}
-
-// NonEmptyRows returns the vertices with at least one neighbor in this
-// cluster, ascending. The result is memoized; callers must not modify it.
-// It serves as the candidate pool for the first vertex of a matching order.
-func (c *CSR) NonEmptyRows() []graph.VertexID {
-	if c.nonEmpty == nil {
-		c.nonEmpty = make([]graph.VertexID, 0, 16)
-		for v := 0; v+1 < len(c.rowStart); v++ {
-			if c.rowStart[v+1] > c.rowStart[v] {
-				c.nonEmpty = append(c.nonEmpty, graph.VertexID(v))
-			}
+// searchSorted returns the first position in the ascending slice xs whose
+// value is >= v.
+//
+//csce:hotpath
+func searchSorted(xs []graph.VertexID, v graph.VertexID) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if xs[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return c.nonEmpty
+	return lo
 }
+
+// Contains reports whether v occurs in the ascending slice xs: the probe of
+// a row, and of any candidate list intersected with one.
+//
+//csce:hotpath
+func Contains(xs []graph.VertexID, v graph.VertexID) bool {
+	i := searchSorted(xs, v)
+	return i < len(xs) && xs[i] == v
+}
+
+// rowAt returns the i-th non-empty row, the neighbors of vertex rows[i].
+//
+//csce:hotpath
+func (c *CSR) rowAt(i int) []graph.VertexID { return c.col[c.offs[i]:c.offs[i+1]] }
+
+// Row returns the sorted neighbors of v within this cluster CSR.
+//
+//csce:hotpath under every extension step: one search of the directory
+func (c *CSR) Row(v graph.VertexID) []graph.VertexID {
+	if i := searchSorted(c.rows, v); i < len(c.rows) && c.rows[i] == v {
+		return c.rowAt(i)
+	}
+	return nil
+}
+
+// RowLen returns len(Row(v)).
+//
+//csce:hotpath
+func (c *CSR) RowLen(v graph.VertexID) int { return len(c.Row(v)) }
+
+// Has reports whether w appears in v's row, by binary search.
+//
+//csce:hotpath
+func (c *CSR) Has(v, w graph.VertexID) bool { return Contains(c.Row(v), w) }
+
+// NonEmptyRows returns the vertices with at least one neighbor in this
+// cluster, ascending. It is the directory itself; callers must not modify
+// it. It serves as the candidate pool for the first vertex of a matching
+// order.
+func (c *CSR) NonEmptyRows() []graph.VertexID { return c.rows }
 
 // Len returns the number of entries in the column array (the cluster size
 // |I_C| from the paper's tie-breaking formulas).
 func (c *CSR) Len() int { return len(c.col) }
 
-func (c *CSR) bytes() int { return 4 * (len(c.rowStart) + len(c.col)) }
+func (c *CSR) bytes() int { return 4 * (len(c.rows) + len(c.offs) + len(c.col)) }
 
-// Cluster is a decompressed cluster ready for matching. For a directed
-// cluster, Out indexes source vertices and In indexes destination vertices.
-// For an undirected cluster, Out holds both orientations and In is nil.
+// Cluster is a cluster ready for matching. For a directed cluster, Out
+// indexes source vertices and In indexes destination vertices. For an
+// undirected cluster, Out holds both orientations and In is nil. A Cluster
+// is immutable and shared by every view that selected it.
 type Cluster struct {
 	Key      Key
 	NumEdges int
@@ -211,7 +193,7 @@ func (c *Cluster) FromDst() *CSR {
 	return c.Out
 }
 
-// Bytes returns the decompressed footprint.
+// Bytes returns the footprint of the cluster's arrays.
 func (c *Cluster) Bytes() int {
 	b := c.Out.bytes()
 	if c.In != nil {

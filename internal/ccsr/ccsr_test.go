@@ -3,8 +3,8 @@ package ccsr
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"csce/internal/graph"
 )
@@ -114,39 +114,16 @@ func TestFig4Clusters(t *testing.T) {
 	}
 }
 
-func TestRLERoundTrip(t *testing.T) {
-	f := func(deltas []uint8) bool {
-		xs := make([]uint32, len(deltas))
-		var cur uint32
-		for i, d := range deltas {
-			cur += uint32(d % 3) // many repeats, like row starts
-			xs[i] = cur
-		}
-		got := compressRLE(xs).expand(len(xs) - 1)
-		if len(got) != len(xs) {
-			return false
-		}
-		for i := range xs {
-			if got[i] != xs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRLECompressionBound(t *testing.T) {
-	// The paper bounds the compressed row index at 2 integers per edge.
+func TestRowIndexBound(t *testing.T) {
+	// The paper bounds the compressed row index at 2 integers per edge;
+	// the row directory costs 2 per non-empty row, plus one closing offset.
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(seed, 200, 800, 4, 2, seed%2 == 0)
 		s := Build(g)
 		for _, c := range s.clusters {
-			k := c.Key
-			if len(c.outRow.vals) > 2*c.NumEdges+1 {
-				t.Fatalf("cluster %v: outRow rle has %d runs for %d edges", k, len(c.outRow.vals), c.NumEdges)
+			out := c.base.Out
+			if len(out.offs) != len(out.rows)+1 || len(out.rows)+len(out.offs) > 2*out.Len()+1 {
+				t.Fatalf("cluster %v: %d row ids + %d offsets for %d columns", c.Key, len(out.rows), len(out.offs), out.Len())
 			}
 		}
 	}
@@ -222,7 +199,7 @@ func TestUndirectedClusterBothOrientations(t *testing.T) {
 }
 
 func TestCSRHelpers(t *testing.T) {
-	c := &CSR{rowStart: []uint32{0, 2, 2, 3}, col: []graph.VertexID{5, 9, 7}}
+	c := &CSR{rows: []graph.VertexID{0, 2}, offs: []uint32{0, 2, 3}, col: []graph.VertexID{5, 9, 7}}
 	if got := c.Row(0); len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Fatalf("Row(0) = %v", got)
 	}
@@ -331,22 +308,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if s.ClusterSize(k) != s2.ClusterSize(k) {
 				t.Fatalf("cluster %v size changed after round trip", k)
 			}
-			a, err1 := s.decompress(k)
-			b, err2 := s2.decompress(k)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if len(a.Out.col) != len(b.Out.col) {
-				t.Fatalf("cluster %v column array changed", k)
-			}
-			for i := range a.Out.col {
-				if a.Out.col[i] != b.Out.col[i] {
-					t.Fatalf("cluster %v column %d changed", k, i)
+			a, b := s.read(k), s2.read(k)
+			for _, side := range [][2]*CSR{{a.Out, b.Out}, {a.In, b.In}} {
+				x, y := side[0], side[1]
+				if (x == nil) != (y == nil) {
+					t.Fatalf("cluster %v gained or lost a side", k)
 				}
-			}
-			for v := 0; v <= s.NumVertices(); v++ {
-				if a.Out.rowStart[v] != b.Out.rowStart[v] {
-					t.Fatalf("cluster %v rowStart %d changed", k, v)
+				if x != nil && !(slices.Equal(x.rows, y.rows) && slices.Equal(x.offs, y.offs) && slices.Equal(x.col, y.col)) {
+					t.Fatalf("cluster %v arrays changed", k)
 				}
 			}
 		}

@@ -45,13 +45,14 @@ type ownership struct {
 // drops its ownership, which keeps the invariant everything above rests
 // on: a shared cluster is never dirty. Overlays are only ever appended to
 // a private copy, compaction (the one in-place rewrite of a cluster, which
-// readers trigger through decompress) only ever runs on a dirty cluster,
-// and the base arrays are replaced wholesale by buildCluster, never
-// edited — so whatever is reachable from a store that owns nothing is
-// immutable. Such a store (a published snapshot: a fresh Clone result that
-// nobody wrote) can be read and cloned from any number of goroutines with
-// no synchronization: Clone finds nothing to seal and writes nothing to
-// it.
+// reading a dirty cluster triggers) only ever runs on a dirty cluster, and
+// the base is replaced wholesale by buildCluster, never edited — so
+// whatever is reachable from a store that owns nothing is immutable, and
+// ReadCSR hands those very clusters to queries. Such a store (a published
+// snapshot: a fresh Clone result that nobody wrote) can be read and cloned
+// from any number of goroutines with no synchronization: Clone finds
+// nothing to seal, ReadCSR finds nothing to compact, and neither writes
+// anything to it.
 func (s *Store) Clone() *Store {
 	if s.own != nil {
 		s.compactDirty()
@@ -85,8 +86,8 @@ func (s *Store) owning() *ownership {
 
 // writableCluster returns the cluster for key as a struct this store may
 // edit in place — a private copy, made on the first call after a Clone —
-// or nil when no such cluster exists. The copy shares the base arrays,
-// which are immutable, and starts with fresh empty overlays.
+// or nil when no such cluster exists. The copy shares the base, which is
+// immutable, and starts with fresh empty overlays.
 func (s *Store) writableCluster(key Key) *Compressed {
 	i, ok := s.clusterAt[key]
 	if !ok {

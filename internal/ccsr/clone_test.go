@@ -328,7 +328,7 @@ func TestCloneConcurrentReadersWhileWriterMutates(t *testing.T) {
 }
 
 // TestCompactionExactlyAtThreshold pins the boundary arithmetic of
-// maybeCompact: overlay < len(outCol)/deltaCompactionFraction +
+// maybeCompact: overlay < base columns/deltaCompactionFraction +
 // deltaCompactionMin stays lazy; reaching it compacts. A directed store
 // keeps overlay entries 1:1 with edits, so the boundary is exact.
 func TestCompactionExactlyAtThreshold(t *testing.T) {
@@ -353,8 +353,8 @@ func TestCompactionExactlyAtThreshold(t *testing.T) {
 	if c.dirty() {
 		t.Fatalf("overlay of %d on empty base must compact", deltaCompactionMin)
 	}
-	if len(c.outCol) != deltaCompactionMin || c.NumEdges != deltaCompactionMin {
-		t.Fatalf("compacted base has %d cols / %d edges, want %d", len(c.outCol), c.NumEdges, deltaCompactionMin)
+	if c.base.Out.Len() != deltaCompactionMin || c.NumEdges != deltaCompactionMin {
+		t.Fatalf("compacted base has %d cols / %d edges, want %d", c.base.Out.Len(), c.NumEdges, deltaCompactionMin)
 	}
 
 	// Non-empty base: threshold = base/deltaCompactionFraction + min. The

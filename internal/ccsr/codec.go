@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"csce/internal/graph"
 )
@@ -25,6 +26,17 @@ import (
 // where an rle is: count u64, vals [count]u32, counts [count]u32, a []u32
 // is: count u64 then the values, and a name is: length u64 then the bytes.
 //
+// The rle is the run-length encoding of a side's dense row-start array
+// (numVertices+1 entries): one run per non-empty row — value: the row's
+// first column offset, count: its distance from the previous non-empty
+// row — plus a closing run out to numVertices. In memory the same numbers
+// are a CSR's row directory: vals are its offsets as they stand, and the
+// counts are the first differences of its row ids, so Encode and Decode
+// convert with one pass over the non-empty rows and the bytes are those
+// every file written since version 1 holds. A file whose closing run stops
+// short of numVertices (written after AddVertex by a release that kept the
+// count from build time) decodes the same; Encode always writes it in full.
+//
 // Version 2 added the label-table trailer. Label values are interned in
 // first-seen order, so a pattern parsed against a fresh table maps the same
 // names to different values than the original data graph did — without the
@@ -41,174 +53,212 @@ const (
 func (s *Store) Encode(w io.Writer) error {
 	s.compactDirty()
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	writeU32 := func(x uint32) error { return binary.Write(bw, le, x) }
-	writeU64 := func(x uint64) error { return binary.Write(bw, le, x) }
-
-	if err := writeU32(codecVersion); err != nil {
-		return err
-	}
-	dir := byte(0)
-	if s.directed {
-		dir = 1
-	}
-	if err := bw.WriteByte(dir); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(s.numVertices)); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(s.numEdges)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, s.vertexLabels); err != nil {
-		return err
+	var err error // the first failed write; nothing is written after it
+	put := func(xs ...any) {
+		for _, x := range xs {
+			if err == nil {
+				err = binary.Write(bw, binary.LittleEndian, x)
+			}
+		}
 	}
 	keys := s.Keys()
-	if err := writeU64(uint64(len(keys))); err != nil {
-		return err
-	}
-	writeSlice := func(xs []uint32) error {
-		if err := writeU64(uint64(len(xs))); err != nil {
-			return err
+	put([]byte(codecMagic), uint32(codecVersion), s.directed,
+		uint64(s.numVertices), uint64(s.numEdges), s.vertexLabels, uint64(len(keys)))
+	var counts []uint32 // scratch, reused across sides
+	putSide := func(c *CSR) {
+		counts = counts[:0]
+		prev := -1 // the last non-empty row
+		for _, row := range c.rows {
+			counts = append(counts, uint32(int(row)-prev))
+			prev = int(row)
 		}
-		return binary.Write(bw, le, xs)
-	}
-	writeRLE := func(r rle) error {
-		if err := writeU64(uint64(len(r.vals))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, le, r.vals); err != nil {
-			return err
-		}
-		return binary.Write(bw, le, r.counts)
+		counts = append(counts, uint32(s.numVertices-prev))
+		put(uint64(len(c.offs)), c.offs, counts, uint64(len(c.col)), c.col)
 	}
 	for _, k := range keys {
 		c := s.cluster(k)
-		if err := binary.Write(bw, le, k.Src); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, le, k.Dst); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, le, k.Edge); err != nil {
-			return err
-		}
-		kd := byte(0)
+		put(k, uint64(c.NumEdges)) // Key's fields, in order, are its wire form
+		putSide(c.base.Out)
 		if k.Directed {
-			kd = 1
-		}
-		if err := bw.WriteByte(kd); err != nil {
-			return err
-		}
-		if err := writeU64(uint64(c.NumEdges)); err != nil {
-			return err
-		}
-		if err := writeRLE(c.outRow); err != nil {
-			return err
-		}
-		if err := writeSlice(c.outCol); err != nil {
-			return err
-		}
-		if k.Directed {
-			if err := writeRLE(c.inRow); err != nil {
-				return err
-			}
-			if err := writeSlice(c.inCol); err != nil {
-				return err
-			}
+			putSide(c.base.In)
 		}
 	}
-	if err := writeNames(bw, writeU64, s.names); err != nil {
+	putNames(put, s.names)
+	if err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// writeNames serializes the label table trailer (presence byte + both
-// namespaces in interned order).
-func writeNames(bw *bufio.Writer, writeU64 func(uint64) error, names *graph.LabelTable) error {
+// putNames writes the label-table trailer: a presence byte, then each
+// namespace's names in interned order.
+func putNames(put func(...any), names *graph.LabelTable) {
+	put(names != nil)
 	if names == nil {
-		return bw.WriteByte(0)
+		return
 	}
-	if err := bw.WriteByte(1); err != nil {
-		return err
-	}
-	writeString := func(s string) error {
-		if err := writeU64(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeU64(uint64(names.NumVertexLabels())); err != nil {
-		return err
-	}
+	putName := func(name string) { put(uint64(len(name)), []byte(name)) }
+	put(uint64(names.NumVertexLabels()))
 	for l := 0; l < names.NumVertexLabels(); l++ {
-		if err := writeString(names.VertexName(graph.Label(l))); err != nil {
-			return err
+		putName(names.VertexName(graph.Label(l)))
+	}
+	put(uint64(names.NumEdgeLabels()))
+	for l := 0; l < names.NumEdgeLabels(); l++ {
+		putName(names.EdgeName(graph.EdgeLabel(l)))
+	}
+}
+
+// maxReasonable bounds every length field; no array is allocated to a
+// length the input has not backed with bytes (readInts).
+const maxReasonable = 1 << 32
+
+// readInts reads n little-endian integers. The buffer grows only as data
+// actually arrives, so a hostile length field costs at most twice the
+// input's size, and a complete read ends with exactly n of capacity.
+func readInts[T uint16 | uint32](r io.Reader, n uint64, what string) ([]T, error) {
+	if n > maxReasonable {
+		return nil, fmt.Errorf("ccsr: implausible %s length %d", what, n)
+	}
+	xs := make([]T, min(n, 1<<16))
+	for filled := 0; ; {
+		if err := binary.Read(r, binary.LittleEndian, xs[filled:]); err != nil {
+			return nil, fmt.Errorf("ccsr: decode %s: %w", what, err)
+		}
+		if filled = len(xs); uint64(filled) == n {
+			return xs, nil
+		}
+		grown := make([]T, min(n, 2*uint64(filled)))
+		copy(grown, xs)
+		xs = grown
+	}
+}
+
+// readSide reads one CSR side and checks everything a lookup will rely on,
+// so that Row, Has and EdgesAll can index without bounds of their own:
+// offsets start at 0, rise strictly and end at len(col); row ids rise
+// strictly and stay below numVertices, as do the column ids; each row is
+// sorted without duplicates.
+func readSide(r io.Reader, numVertices uint64) (*CSR, error) {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, err
+	}
+	offs, err := readInts[uint32](r, n, "row index")
+	if err != nil {
+		return nil, err
+	}
+	counts, err := readInts[uint32](r, n, "row index")
+	if err != nil {
+		return nil, err
+	}
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, err
+	}
+	col, err := readInts[uint32](r, n, "column array")
+	if err != nil {
+		return nil, err
+	}
+	if len(offs) == 0 || offs[0] != 0 || int(offs[len(offs)-1]) != len(col) {
+		return nil, fmt.Errorf("ccsr: row offsets do not span the %d columns", len(col))
+	}
+	// Turn the run counts into row ids in place: row i sits counts[i] past
+	// row i-1, and the closing run must end within the vertex range.
+	next := uint64(0) // one past the previous non-empty row
+	for i, c := range counts {
+		if next += uint64(c); c == 0 || next > numVertices+1 {
+			return nil, fmt.Errorf("ccsr: row index run %d (count %d) leaves the %d vertices", i, c, numVertices)
+		}
+		counts[i] = uint32(next - 1)
+	}
+	rows := counts[:len(counts)-1]
+	if len(rows) > 0 && uint64(rows[len(rows)-1]) >= numVertices {
+		return nil, fmt.Errorf("ccsr: row id %d past the %d vertices", rows[len(rows)-1], numVertices)
+	}
+	for i := range rows {
+		if offs[i] >= offs[i+1] || int(offs[i+1]) > len(col) {
+			return nil, fmt.Errorf("ccsr: row offsets not increasing within the columns at row %d", rows[i])
+		}
+		row := col[offs[i]:offs[i+1]]
+		for j, w := range row {
+			if uint64(w) >= numVertices || (j > 0 && w <= row[j-1]) {
+				return nil, fmt.Errorf("ccsr: row %d is not a sorted set of vertices", rows[i])
+			}
 		}
 	}
-	if err := writeU64(uint64(names.NumEdgeLabels())); err != nil {
-		return err
+	return &CSR{rows: rows, offs: offs, col: col}, nil
+}
+
+// checkPairs checks what neither side of a cluster can show alone: every
+// stored pair (v,w) joins two distinct vertices whose labels are the key's,
+// and has its mirror (w,v) — in In for a directed cluster, in Out itself for
+// an undirected one. The sides are equally long and free of duplicates
+// (readSide, Decode), so that makes In the transpose of Out, an undirected
+// Out symmetric, and NumEdges the number of edges EdgesAll visits.
+//
+// It is one pass, O(pairs): Out is walked row-major, so the pairs ending in
+// w arrive in ascending v, which is the order row w of the mirror lists
+// them in — the next one must be that row's first unclaimed entry. rowOf is
+// scratch, numVertices zeros on entry and on return.
+func (s *Store) checkPairs(cl *Cluster, rowOf []uint32) error {
+	mirror := cl.FromDst()
+	next := slices.Clone(mirror.offs) // next[j]: row j's first unclaimed entry
+	for j, w := range mirror.rows {
+		rowOf[w] = uint32(j) + 1
 	}
-	for l := 0; l < names.NumEdgeLabels(); l++ {
-		if err := writeString(names.EdgeName(graph.EdgeLabel(l))); err != nil {
-			return err
+	defer func() {
+		for _, w := range mirror.rows {
+			rowOf[w] = 0
+		}
+	}()
+	for i, v := range cl.Out.rows {
+		for _, w := range cl.Out.rowAt(i) {
+			j := rowOf[w] // 1 + w's row in the mirror, 0 if it has none
+			if v == w || j == 0 || next[j-1] == mirror.offs[j] || mirror.col[next[j-1]] != v ||
+				NewKey(s.vertexLabels[v], s.vertexLabels[w], cl.Key.Edge, cl.Key.Directed) != cl.Key {
+				return fmt.Errorf("ccsr: cluster %v cannot hold the pair (%d,%d), or lacks its mirror", cl.Key, v, w)
+			}
+			next[j-1]++
 		}
 	}
 	return nil
 }
 
-// Decode reads a store previously written by Encode.
+// Decode reads a store previously written by Encode. The input is not
+// trusted: a malformed or hostile stream is an error, never a panic and
+// never an allocation out of proportion to its size.
 func Decode(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("ccsr: decode magic: %w", err)
+	var head struct {
+		Magic    [4]byte
+		Version  uint32
+		Directed bool
+		NV, NE   uint64
 	}
-	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("ccsr: bad magic %q", magic)
+	if err := binary.Read(br, le, &head); err != nil {
+		return nil, fmt.Errorf("ccsr: decode header: %w", err)
 	}
-	var version uint32
-	if err := binary.Read(br, le, &version); err != nil {
-		return nil, err
+	if string(head.Magic[:]) != codecMagic {
+		return nil, fmt.Errorf("ccsr: bad magic %q", head.Magic)
 	}
-	if version != 1 && version != codecVersion {
-		return nil, fmt.Errorf("ccsr: unsupported version %d", version)
+	if head.Version != 1 && head.Version != codecVersion {
+		return nil, fmt.Errorf("ccsr: unsupported version %d", head.Version)
 	}
-	dir, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	var nv, ne uint64
-	if err := binary.Read(br, le, &nv); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, le, &ne); err != nil {
-		return nil, err
-	}
-	const maxReasonable = 1 << 32
-	if nv > maxReasonable || ne > maxReasonable {
-		return nil, fmt.Errorf("ccsr: implausible sizes %d/%d", nv, ne)
+	if head.NE > maxReasonable {
+		return nil, fmt.Errorf("ccsr: implausible edge count %d", head.NE)
 	}
 	s := &Store{
-		directed:     dir == 1,
-		numVertices:  int(nv),
-		numEdges:     int(ne),
-		vertexLabels: make([]graph.Label, nv),
-		labelFreq:    make(map[graph.Label]int),
-		clusterAt:    make(map[Key]int),
-		pairIndex:    make(map[pairKey][]Key),
+		directed:  head.Directed,
+		numEdges:  int(head.NE),
+		labelFreq: make(map[graph.Label]int),
+		clusterAt: make(map[Key]int),
+		pairIndex: make(map[pairKey][]Key),
 	}
-	if err := binary.Read(br, le, s.vertexLabels); err != nil {
+	var err error
+	if s.vertexLabels, err = readInts[graph.Label](br, head.NV, "vertex labels"); err != nil {
 		return nil, err
 	}
+	s.numVertices = len(s.vertexLabels)
 	for _, l := range s.vertexLabels {
 		s.labelFreq[l]++
 	}
@@ -217,80 +267,53 @@ func Decode(r io.Reader) (*Store, error) {
 	if err := binary.Read(br, le, &nc); err != nil {
 		return nil, err
 	}
-	readSlice := func() ([]uint32, error) {
-		var n uint64
-		if err := binary.Read(br, le, &n); err != nil {
-			return nil, err
-		}
-		if n > maxReasonable {
-			return nil, fmt.Errorf("ccsr: implausible array length %d", n)
-		}
-		xs := make([]uint32, n)
-		if err := binary.Read(br, le, xs); err != nil {
-			return nil, err
-		}
-		return xs, nil
-	}
-	readRLE := func() (rle, error) {
-		var n uint64
-		if err := binary.Read(br, le, &n); err != nil {
-			return rle{}, err
-		}
-		if n > maxReasonable {
-			return rle{}, fmt.Errorf("ccsr: implausible rle length %d", n)
-		}
-		r := rle{vals: make([]uint32, n), counts: make([]uint32, n)}
-		if err := binary.Read(br, le, r.vals); err != nil {
-			return rle{}, err
-		}
-		if err := binary.Read(br, le, r.counts); err != nil {
-			return rle{}, err
-		}
-		return r, nil
-	}
+	rowOf := make([]uint32, s.numVertices) // checkPairs' scratch
+	edges := uint64(0)
 	for i := uint64(0); i < nc; i++ {
-		var k Key
-		if err := binary.Read(br, le, &k.Src); err != nil {
+		var h struct {
+			Key      Key
+			NumEdges uint64
+		}
+		if err := binary.Read(br, le, &h); err != nil {
 			return nil, err
 		}
-		if err := binary.Read(br, le, &k.Dst); err != nil {
-			return nil, err
+		k := h.Key
+		if k.Directed != s.directed || k != NewKey(k.Src, k.Dst, k.Edge, k.Directed) || h.NumEdges > head.NE {
+			return nil, fmt.Errorf("ccsr: cluster %v (%d edges) does not belong to this graph", k, h.NumEdges)
 		}
-		if err := binary.Read(br, le, &k.Edge); err != nil {
-			return nil, err
+		cl := &Cluster{Key: k, NumEdges: int(h.NumEdges)}
+		if cl.Out, err = readSide(br, head.NV); err != nil {
+			return nil, fmt.Errorf("%w (cluster %v)", err, k)
 		}
-		kd, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		k.Directed = kd == 1
-		var cne uint64
-		if err := binary.Read(br, le, &cne); err != nil {
-			return nil, err
-		}
-		c := &Compressed{Key: k, NumEdges: int(cne)}
-		if c.outRow, err = readRLE(); err != nil {
-			return nil, err
-		}
-		if c.outCol, err = readSlice(); err != nil {
-			return nil, err
-		}
+		stored := uint64(cl.Out.Len()) // orientations stored per side
 		if k.Directed {
-			if c.inRow, err = readRLE(); err != nil {
-				return nil, err
+			if cl.In, err = readSide(br, head.NV); err != nil {
+				return nil, fmt.Errorf("%w (cluster %v)", err, k)
 			}
-			if c.inCol, err = readSlice(); err != nil {
-				return nil, err
+			if cl.In.Len() != cl.Out.Len() {
+				return nil, fmt.Errorf("ccsr: cluster %v has %d outgoing but %d incoming columns", k, cl.Out.Len(), cl.In.Len())
 			}
+		} else {
+			h.NumEdges *= 2
+		}
+		if stored != h.NumEdges {
+			return nil, fmt.Errorf("ccsr: cluster %v holds %d columns for %d edges", k, stored, cl.NumEdges)
+		}
+		if err := s.checkPairs(cl, rowOf); err != nil {
+			return nil, err
 		}
 		if s.cluster(k) != nil {
 			return nil, fmt.Errorf("ccsr: duplicate cluster %v", k)
 		}
-		s.appendCluster(c)
+		s.appendCluster(&Compressed{Key: k, NumEdges: cl.NumEdges, base: cl})
+		edges += uint64(cl.NumEdges)
 	}
-	if version >= 2 {
-		if s.names, err = readNames(br, le); err != nil {
-			return nil, err
+	if edges != head.NE {
+		return nil, fmt.Errorf("ccsr: clusters hold %d edges, header says %d", edges, head.NE)
+	}
+	if head.Version >= 2 {
+		if s.names, err = readNames(br); err != nil {
+			return nil, fmt.Errorf("ccsr: decode names: %w", err)
 		}
 	}
 	return s, nil
@@ -298,60 +321,38 @@ func Decode(r io.Reader) (*Store, error) {
 
 // readNames decodes the label-table trailer, re-interning every name in its
 // original order so label values are bit-identical to the encoding graph's.
-func readNames(br *bufio.Reader, le binary.ByteOrder) (*graph.LabelTable, error) {
-	present, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("ccsr: decode names: %w", err)
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	const maxReasonable = 1 << 32
-	readString := func() (string, error) {
-		var n uint64
-		if err := binary.Read(br, le, &n); err != nil {
-			return "", err
-		}
-		if n > maxReasonable {
-			return "", fmt.Errorf("ccsr: implausible name length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
+func readNames(br *bufio.Reader) (*graph.LabelTable, error) {
+	if present, err := br.ReadByte(); err != nil || present == 0 {
+		return nil, err
 	}
 	names := graph.NewLabelTable()
-	var nv uint64
-	if err := binary.Read(br, le, &nv); err != nil {
-		return nil, err
+	interns := []func(string) int{
+		func(name string) int { return int(names.Vertex(name)) },
+		func(name string) int { return int(names.Edge(name)) },
 	}
-	if nv > maxReasonable {
-		return nil, fmt.Errorf("ccsr: implausible name count %d", nv)
-	}
-	for i := uint64(0); i < nv; i++ {
-		name, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("ccsr: decode vertex name %d: %w", i, err)
+	for _, intern := range interns {
+		var count uint64
+		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+			return nil, err
 		}
-		if got := names.Vertex(name); uint64(got) != i {
-			return nil, fmt.Errorf("ccsr: duplicate vertex label name %q", name)
-		}
-	}
-	var ne uint64
-	if err := binary.Read(br, le, &ne); err != nil {
-		return nil, err
-	}
-	if ne > maxReasonable {
-		return nil, fmt.Errorf("ccsr: implausible name count %d", ne)
-	}
-	for i := uint64(0); i < ne; i++ {
-		name, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("ccsr: decode edge name %d: %w", i, err)
-		}
-		if got := names.Edge(name); uint64(got) != i {
-			return nil, fmt.Errorf("ccsr: duplicate edge label name %q", name)
+		for i := uint64(0); i < count; i++ {
+			var n uint64
+			if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+				return nil, err
+			}
+			if n > maxReasonable {
+				return nil, fmt.Errorf("implausible name length %d", n)
+			}
+			name, err := io.ReadAll(io.LimitReader(br, int64(n)))
+			if err == nil && uint64(len(name)) < n {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return nil, err
+			}
+			if uint64(intern(string(name))) != i {
+				return nil, fmt.Errorf("duplicate label name %q", name)
+			}
 		}
 	}
 	return names, nil

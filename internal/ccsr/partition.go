@@ -20,9 +20,9 @@ import (
 //     into both owners' stores, so every vertex sees its complete
 //     adjacency in its owner's shard.
 //
-// Empty adjacency rows RLE-compress to almost nothing, so the per-shard
-// overhead of the global ID space is a few bytes per run of foreign
-// vertices, not O(n) per shard.
+// Empty adjacency rows are absent from a cluster's row directory, so the
+// global ID space costs a shard nothing per foreign vertex beyond its
+// entry in the label array.
 
 // PartitionStats describes one shard produced by Partition.
 type PartitionStats struct {
@@ -38,19 +38,15 @@ type PartitionStats struct {
 
 // EdgesAll visits every edge of the clustered graph exactly once —
 // undirected edges once regardless of stored orientation, directed arcs
-// once each — in deterministic cluster-key order. Clusters with pending
+// once each — in deterministic cluster-key order, walking each cluster's
+// row directory (O(edges), whatever the vertex count). Clusters with pending
 // update overlays are compacted first (like Clone), so the receiver must
 // not be a store concurrent readers are matching against.
-func (s *Store) EdgesAll(fn func(src, dst graph.VertexID, el graph.EdgeLabel)) error {
+func (s *Store) EdgesAll(fn func(src, dst graph.VertexID, el graph.EdgeLabel)) {
 	for _, k := range s.Keys() {
-		cl, err := s.decompress(k)
-		if err != nil {
-			return err
-		}
-		out := cl.Out
-		for v := 0; v < s.numVertices; v++ {
-			src := graph.VertexID(v)
-			for _, dst := range out.Row(src) {
+		out := s.read(k).Out
+		for i, src := range out.rows {
+			for _, dst := range out.rowAt(i) {
 				if !k.Directed && dst < src {
 					continue // the (dst,src) orientation already emitted it
 				}
@@ -58,7 +54,6 @@ func (s *Store) EdgesAll(fn func(src, dst graph.VertexID, el graph.EdgeLabel)) e
 			}
 		}
 	}
-	return nil
 }
 
 // Partition splits the store into k shard-local stores under the given
@@ -91,7 +86,7 @@ func (s *Store) Partition(k int, owner func(graph.VertexID) int) ([]*Store, []Pa
 			builders[i].AddVertex(l)
 		}
 	}
-	err := s.EdgesAll(func(src, dst graph.VertexID, el graph.EdgeLabel) {
+	s.EdgesAll(func(src, dst graph.VertexID, el graph.EdgeLabel) {
 		ou, ov := owners[src], owners[dst]
 		builders[ou].AddEdge(src, dst, el)
 		stats[ou].Edges++
@@ -102,9 +97,6 @@ func (s *Store) Partition(k int, owner func(graph.VertexID) int) ([]*Store, []Pa
 			stats[ov].BoundaryEdges++
 		}
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	shards := make([]*Store, k)
 	for i := range builders {
 		g, err := builders[i].Build()

@@ -23,12 +23,9 @@ func canon(directed bool, src, dst graph.VertexID, el graph.EdgeLabel) edgeKey {
 func collectEdges(t *testing.T, s *Store) map[edgeKey]int {
 	t.Helper()
 	out := make(map[edgeKey]int)
-	err := s.EdgesAll(func(src, dst graph.VertexID, el graph.EdgeLabel) {
+	s.EdgesAll(func(src, dst graph.VertexID, el graph.EdgeLabel) {
 		out[canon(s.Directed(), src, dst, el)]++
 	})
-	if err != nil {
-		t.Fatalf("EdgesAll: %v", err)
-	}
 	return out
 }
 

@@ -2,7 +2,6 @@ package ccsr
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // Store is the offline product of clustering a data graph: the complete set
-// G_C of compressed clusters, plus the vertex labels and label statistics
+// G_C of clusters, plus the vertex labels and label statistics
 // needed at plan time. A Store fully replaces the original graph for
 // matching purposes — per the paper, "as G_C is equivalent to G, we do not
 // keep G".
@@ -36,7 +35,7 @@ type Store struct {
 	own *ownership
 }
 
-// Build clusters every edge of g into its isomorphism class and compresses
+// Build clusters every edge of g into its isomorphism class and builds
 // each cluster. Time is O(|E| log |E|) from the per-cluster sorts, matching
 // the paper's analysis.
 func Build(g *graph.Graph) *Store {
@@ -68,7 +67,7 @@ func Build(g *graph.Graph) *Store {
 	})
 
 	for key, pairs := range byKey {
-		s.appendCluster(buildCluster(key, pairs, s.numVertices))
+		s.appendCluster(buildCluster(key, pairs))
 	}
 	for _, keys := range s.pairIndex {
 		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
@@ -107,59 +106,54 @@ func comparePairs(x, y pair) int {
 
 func sortPairs(pairs []pair) { slices.SortFunc(pairs, comparePairs) }
 
-// buildCluster compresses a cluster from its pair list; Build, compaction
-// and the creation of an empty cluster all come through here, so there is
-// one definition of the at-rest arrays. For an undirected key the list
-// must already contain both orientations. pairs is consumed: sorted and,
-// for a directed key, flipped in place.
-func buildCluster(key Key, pairs []pair, numVertices int) *Compressed {
-	c := &Compressed{Key: key, NumEdges: len(pairs)}
+// buildCluster builds a cluster from its pair list; Build, compaction and
+// the creation of an empty cluster all come through here, so there is one
+// definition of the base arrays. For an undirected key the list must
+// already contain both orientations. pairs is consumed: sorted and, for a
+// directed key, flipped in place.
+func buildCluster(key Key, pairs []pair) *Compressed {
+	cl := &Cluster{Key: key, NumEdges: len(pairs)}
 	if !key.Directed {
-		c.NumEdges /= 2
+		cl.NumEdges /= 2
 	}
 	// Outgoing side: rows keyed by the first element of each pair.
 	sortPairs(pairs)
-	c.outRow, c.outCol = emitRuns(pairs, numVertices)
+	cl.Out = emitRows(pairs)
 	if key.Directed {
 		// Incoming side: rows keyed by destination.
 		for i, p := range pairs {
 			pairs[i] = pair{p.b, p.a}
 		}
 		sortPairs(pairs)
-		c.inRow, c.inCol = emitRuns(pairs, numVertices)
+		cl.In = emitRows(pairs)
 	}
-	return c
+	return &Compressed{Key: key, NumEdges: cl.NumEdges, base: cl}
 }
 
-// emitRuns writes one CSR side from pairs sorted row-major: the column
-// array, and the row index as runs emitted straight from the list. The
-// dense row-start array (numVertices+1 entries) changes value right after
-// each non-empty row, so its run-length encoding is one run per non-empty
-// row — value: the row's first column offset, count: its distance from
-// the previous non-empty row — plus a closing run out to numVertices. The
-// dense array itself is never built, so the cost is O(len(pairs)).
-func emitRuns(pairs []pair, numVertices int) (rle, []uint32) {
-	col := make([]uint32, len(pairs))
-	rows := 0
+// emitRows writes one CSR side from pairs sorted row-major: the column
+// array and the directory of non-empty rows, one entry per distinct first
+// element. Nothing is sized by the vertex count, so the cost is
+// O(len(pairs)).
+func emitRows(pairs []pair) *CSR {
+	col := make([]graph.VertexID, len(pairs))
+	n := 0
 	for i, p := range pairs {
 		col[i] = p.b
 		if i == 0 || p.a != pairs[i-1].a {
-			rows++
+			n++
 		}
 	}
-	r := rle{vals: make([]uint32, 0, rows+1), counts: make([]uint32, 0, rows+1)}
-	prev := -1 // the last non-empty row emitted
+	rows := make([]graph.VertexID, 0, n)
+	offs := make([]uint32, 0, n+1)
 	for i, p := range pairs {
 		if i > 0 && p.a == pairs[i-1].a {
 			continue
 		}
-		r.vals = append(r.vals, uint32(i))
-		r.counts = append(r.counts, uint32(int(p.a)-prev))
-		prev = int(p.a)
+		rows = append(rows, p.a)
+		offs = append(offs, uint32(i))
 	}
-	r.vals = append(r.vals, uint32(len(pairs)))
-	r.counts = append(r.counts, uint32(numVertices-prev))
-	return r, col
+	offs = append(offs, uint32(len(pairs)))
+	return &CSR{rows: rows, offs: offs, col: col}
 }
 
 func keyLess(a, b Key) bool {
@@ -202,7 +196,7 @@ func (s *Store) LabelFrequency(l graph.Label) int { return s.labelFreq[l] }
 
 // ClusterSize returns the number of edges in the identified cluster, or 0
 // if the cluster does not exist. This is the |I_C| statistic the GCF and
-// LDSF tie-breaking rules consume; it never decompresses anything.
+// LDSF tie-breaking rules consume.
 func (s *Store) ClusterSize(k Key) int {
 	if c := s.cluster(k); c != nil {
 		return c.NumEdges
@@ -240,22 +234,17 @@ func (s *Store) Keys() []Key {
 	return keys
 }
 
-// decompress builds the matchable form of cluster k. Clusters with
-// pending update overlays are compacted first so the CSR arrays always
-// reflect the current graph; row-start arrays are expanded to cover
-// vertices added after the base was built.
-func (s *Store) decompress(k Key) (*Cluster, error) {
+// read returns the matchable form of cluster k, or nil if there is none:
+// the base the cluster already holds, after merging any pending update
+// overlay into it. Only a store's private clusters are ever dirty, so on a
+// published snapshot this writes nothing.
+func (s *Store) read(k Key) *Cluster {
 	c := s.cluster(k)
 	if c == nil {
-		return nil, fmt.Errorf("ccsr: no cluster %v", k)
+		return nil
 	}
 	if c.dirty() {
 		s.compact(c)
 	}
-	out := &CSR{rowStart: c.outRow.expand(s.numVertices), col: c.outCol}
-	cl := &Cluster{Key: k, NumEdges: c.NumEdges, Out: out}
-	if k.Directed {
-		cl.In = &CSR{rowStart: c.inRow.expand(s.numVertices), col: c.inCol}
-	}
-	return cl, nil
+	return c.base
 }

@@ -2,7 +2,6 @@ package ccsr
 
 import (
 	"fmt"
-	"slices"
 
 	"csce/internal/graph"
 )
@@ -10,16 +9,17 @@ import (
 // Incremental maintenance of the clustered index. The paper positions CCSR
 // against graph-database storage (Kùzu's CSR adjacency indices, Section
 // II), where updates are a core requirement; this file adds them without
-// giving up the compressed at-rest layout: each cluster keeps small delta
-// overlays (inserted and deleted edge pairs) that decompression merges
-// with the base arrays, and a cluster is compacted — its base rebuilt —
-// once the overlay grows past a fraction of its size.
+// giving up the compact at-rest layout: each cluster keeps small delta
+// overlays (inserted and deleted edge pairs), and a cluster is compacted —
+// its base rebuilt with the overlays merged in — once the overlay grows
+// past a fraction of its size, or when a reader asks for it.
 //
 // An edge belongs to exactly one cluster, and an update costs that cluster
-// at most — never the graph. The existence probe scans the cluster's run
-// counts (O(non-empty rows), allocation-free); compaction walks the runs,
-// merges the sorted overlays and re-emits runs, O(cluster + overlay·log
-// overlay), plus one sort of the incoming side for a directed cluster. No
+// at most — never the graph. The existence probe binary-searches the
+// cluster's row directory (O(log non-empty rows), allocation-free);
+// compaction walks the directory, merges the sorted overlays and re-emits
+// it, O(cluster + overlay·log overlay), plus one sort of the incoming side
+// for a directed cluster. No
 // step allocates or touches anything sized by the vertex count. Writes go
 // to private copies under the copy-on-write rules of clone.go, so the same
 // bound holds for what a commit copies.
@@ -37,8 +37,8 @@ const (
 )
 
 // AddVertex appends a vertex with label l to the clustered graph and
-// returns its ID. The new vertex has no edges; cluster row indices are
-// extended lazily at decompression time.
+// returns its ID. The new vertex has no edges; no cluster changes, because
+// a row directory lists non-empty rows only.
 func (s *Store) AddVertex(l graph.Label) graph.VertexID {
 	s.ownLabels()
 	s.vertexLabels = append(s.vertexLabels, l)
@@ -60,7 +60,7 @@ func (s *Store) InsertEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 	key := NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed)
 	c := s.writableCluster(key)
 	if c == nil {
-		c = buildCluster(key, nil, s.numVertices)
+		c = buildCluster(key, nil)
 		s.createCluster(c)
 	}
 	before := c.Bytes()
@@ -114,9 +114,9 @@ func (s *Store) DeleteEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 }
 
 // hasEdge reports whether the store currently holds the edge, consulting
-// the overlays and then the compressed base row.
+// the overlays and then the base row.
 //
-//csce:hotpath runs on every InsertEdge and DeleteEdge; must not inflate the row index
+//csce:hotpath runs on every InsertEdge and DeleteEdge
 func (s *Store) hasEdge(src, dst graph.VertexID, el graph.EdgeLabel) bool {
 	key := NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed)
 	c := s.cluster(key)
@@ -134,17 +134,7 @@ func (s *Store) hasEdge(src, dst graph.VertexID, el graph.EdgeLabel) bool {
 			return true
 		}
 	}
-	return c.baseHasPair(p)
-}
-
-// baseHasPair checks the compressed base arrays for one orientation: the
-// row is located on the run-length-encoded index directly, then searched.
-//
-//csce:hotpath
-func (c *Compressed) baseHasPair(p pair) bool {
-	lo, hi := c.outRow.row(p.a)
-	_, found := slices.BinarySearch(c.outCol[lo:hi], p.b)
-	return found
+	return c.base.Out.Has(src, dst)
 }
 
 func (s *Store) checkEndpoints(src, dst graph.VertexID) error {
@@ -160,36 +150,36 @@ func (s *Store) checkEndpoints(src, dst graph.VertexID) error {
 // maybeCompact rebuilds the base arrays when the overlay is large.
 func (s *Store) maybeCompact(c *Compressed) {
 	overlay := len(c.addPairs) + len(c.delPairs)
-	threshold := len(c.outCol)/deltaCompactionFraction + deltaCompactionMin
+	threshold := c.base.Out.Len()/deltaCompactionFraction + deltaCompactionMin
 	if overlay < threshold {
 		return
 	}
 	s.compact(c)
 }
 
-// compact merges the overlays of c into fresh base arrays. c must be a
-// cluster this store owns, which every dirty cluster is.
+// compact merges the overlays of c into a fresh base, leaving the old one
+// to whoever still reads it. c must be a cluster this store owns, which
+// every dirty cluster is.
 func (s *Store) compact(c *Compressed) {
 	before := c.Bytes()
-	*c = *buildCluster(c.Key, c.mergedPairs(), s.numVertices)
+	*c = *buildCluster(c.Key, c.mergedPairs())
 	s.clusterBytes += c.Bytes() - before
 }
 
 // mergedPairs materializes the cluster's current pair list, row-major: a
-// walk over the base's runs — each run boundary is one non-empty row —
-// that drops tombstoned pairs and merges in the insert overlay. Both
+// walk over the base's row directory that drops tombstoned pairs and
+// merges in the insert overlay. Both
 // overlays are sorted in place for the merge; every tombstone names a base
 // pair and no inserted pair is one.
 func (c *Compressed) mergedPairs() []pair {
 	sortPairs(c.addPairs)
 	sortPairs(c.delPairs)
 	add, del := c.addPairs, c.delPairs
-	pairs := make([]pair, 0, len(c.outCol)+len(add)-len(del))
-	row := -1
-	for i := 0; i+1 < len(c.outRow.counts); i++ {
-		row += int(c.outRow.counts[i])
-		for _, w := range c.outCol[c.outRow.vals[i]:c.outRow.vals[i+1]] {
-			p := pair{graph.VertexID(row), w}
+	out := c.base.Out
+	pairs := make([]pair, 0, len(out.col)+len(add)-len(del))
+	for i, row := range out.rows {
+		for _, w := range out.rowAt(i) {
+			p := pair{row, w}
 			for len(add) > 0 && comparePairs(add[0], p) < 0 {
 				pairs = append(pairs, add[0])
 				add = add[1:]

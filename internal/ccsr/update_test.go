@@ -57,12 +57,7 @@ func storesEquivalent(t testing.TB, a, b *Store) bool {
 			t.Logf("key mismatch: %v vs %v", k, keysB[i])
 			return false
 		}
-		ca, err1 := a.decompress(k)
-		cb, err2 := b.decompress(k)
-		if err1 != nil || err2 != nil {
-			t.Logf("decompress: %v %v", err1, err2)
-			return false
-		}
+		ca, cb := a.read(k), b.read(k)
 		for v := 0; v < a.NumVertices(); v++ {
 			ra, rb := ca.Out.Row(graph.VertexID(v)), cb.Out.Row(graph.VertexID(v))
 			if len(ra) != len(rb) {

@@ -7,15 +7,15 @@ import (
 )
 
 // View is the result of ReadCSR (Algorithm 1): the subset G_C^* of clusters
-// a specific (pattern, variant) task needs, decompressed into standard CSRs
-// ready for constant-time neighbor access.
+// a specific (pattern, variant) task needs. It holds pointers to the
+// store's own immutable clusters; building one copies and expands nothing.
 type View struct {
 	store    *Store
 	clusters map[Key]*Cluster
 }
 
-// ReadCSR implements Algorithm 1: it selects, reads, and decompresses the
-// clusters matching each pattern edge, and — for the vertex-induced variant
+// ReadCSR implements Algorithm 1's selection: the clusters matching each
+// pattern edge, and — for the vertex-induced variant
 // — every (ux,uy)*-cluster between unconnected pattern vertex pairs, which
 // the executor uses for negation.
 func (s *Store) ReadCSR(p *graph.Graph, variant graph.Variant) (*View, error) {
@@ -25,17 +25,9 @@ func (s *Store) ReadCSR(p *graph.Graph, variant graph.Variant) (*View, error) {
 	}
 	v := &View{store: s, clusters: make(map[Key]*Cluster)}
 
-	var err error
 	p.Edges(func(ux, uy graph.VertexID, el graph.EdgeLabel) {
-		if err != nil {
-			return
-		}
-		key := NewKey(p.Label(ux), p.Label(uy), el, s.directed)
-		err = v.load(key)
+		v.load(NewKey(p.Label(ux), p.Label(uy), el, s.directed))
 	})
-	if err != nil {
-		return nil, err
-	}
 
 	if variant == graph.VertexInduced {
 		// Negation needs the (ux,uy)*-clusters of every pattern vertex
@@ -48,9 +40,7 @@ func (s *Store) ReadCSR(p *graph.Graph, variant graph.Variant) (*View, error) {
 			for j := i + 1; j < n; j++ {
 				ux, uy := graph.VertexID(i), graph.VertexID(j)
 				for _, key := range s.PairClusterKeys(p.Label(ux), p.Label(uy)) {
-					if err := v.load(key); err != nil {
-						return nil, err
-					}
+					v.load(key)
 				}
 			}
 		}
@@ -58,22 +48,16 @@ func (s *Store) ReadCSR(p *graph.Graph, variant graph.Variant) (*View, error) {
 	return v, nil
 }
 
-// load decompresses cluster k into the view if present and not yet loaded.
-// A missing cluster is not an error: it simply means no data edge matches,
-// which the executor turns into an empty result.
-func (v *View) load(k Key) error {
+// load selects cluster k into the view if the store has it. A missing
+// cluster is not an error: it simply means no data edge matches, which the
+// executor turns into an empty result.
+func (v *View) load(k Key) {
 	if _, done := v.clusters[k]; done {
-		return nil
+		return
 	}
-	if v.store.cluster(k) == nil {
-		return nil
+	if c := v.store.read(k); c != nil {
+		v.clusters[k] = c
 	}
-	c, err := v.store.decompress(k)
-	if err != nil {
-		return err
-	}
-	v.clusters[k] = c
-	return nil
 }
 
 // NumVertices returns the data graph vertex count.
@@ -82,7 +66,7 @@ func (v *View) NumVertices() int { return v.store.numVertices }
 // Store returns the backing store.
 func (v *View) Store() *Store { return v.store }
 
-// Cluster returns the decompressed cluster for key k, or nil when no data
+// Cluster returns the cluster for key k, or nil when no data
 // edge belongs to that isomorphism class (or the cluster was not selected
 // by ReadCSR).
 func (v *View) Cluster(k Key) *Cluster { return v.clusters[k] }
@@ -107,11 +91,13 @@ func (v *View) PairClusters(a, b graph.Label) []*Cluster {
 	return out
 }
 
-// NumClusters returns how many clusters the view decompressed.
+// NumClusters returns how many clusters the view selected.
 func (v *View) NumClusters() int { return len(v.clusters) }
 
-// DecompressedBytes returns the total footprint of the decompressed
-// clusters, for the Fig. 11 overhead experiment.
+// DecompressedBytes returns the total footprint of the clusters the view
+// references. The name dates from when ReadCSR expanded a private copy of
+// each; nothing is expanded or copied any more, so this is the size of the
+// shared arrays a query may touch, not memory the query allocated.
 func (v *View) DecompressedBytes() int {
 	total := 0
 	for _, c := range v.clusters {

@@ -129,7 +129,7 @@ type MatchOptions struct {
 }
 
 // MatchResult reports a matching task with the stage timings the paper's
-// experiments break out (reading/decompression, optimization, execution).
+// experiments break out (cluster reading, optimization, execution).
 type MatchResult struct {
 	// Embeddings found (mappings; instances when SymmetryBreaking is set).
 	Embeddings uint64
@@ -138,14 +138,18 @@ type MatchResult struct {
 	// Automorphisms is |Aut(P)| when SymmetryBreaking was used, else 0.
 	Automorphisms int
 
-	// ReadTime covers ReadCSR cluster selection and decompression.
+	// ReadTime covers ReadCSR cluster selection (nothing is decompressed).
 	ReadTime time.Duration
 	// PlanTime covers GCF + DAG + LDSF (+ automorphisms if requested).
 	PlanTime time.Duration
 	// ExecTime covers the join execution.
 	ExecTime time.Duration
 
-	// ClustersRead and ViewBytes quantify CCSR overhead (Fig. 11).
+	// ClustersRead and ViewBytes quantify CCSR overhead (Fig. 11):
+	// ViewBytes is the size of the selected clusters' arrays, which the
+	// query references in the store — it is not memory the query
+	// allocated. The "core.read" span carries the same number as its
+	// view_bytes attribute.
 	ClustersRead int
 	ViewBytes    int
 
@@ -184,11 +188,11 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("core: read clusters: %w", err)
 	}
-	endRead(obs.Int("clusters", int64(view.NumClusters())),
-		obs.Int("view_bytes", int64(view.DecompressedBytes())))
-	res.ReadTime = time.Since(readStart)
 	res.ClustersRead = view.NumClusters()
 	res.ViewBytes = view.DecompressedBytes()
+	endRead(obs.Int("clusters", int64(res.ClustersRead)),
+		obs.Int("view_bytes", int64(res.ViewBytes)))
+	res.ReadTime = time.Since(readStart)
 
 	_, endPlan := obs.StartSpanCtx(opts.Context, "core.plan")
 	planStart := time.Now()

@@ -85,9 +85,10 @@ type engine struct {
 	done     <-chan struct{} // Options.Ctx.Done(); nil when uncancellable
 	stop     bool
 
-	// rowsBuf is buildCandidates' scratch for the positive parent rows,
-	// sized once to the widest constraint list; buildCandidates is never
-	// reentered, so one buffer per engine suffices.
+	// rowsBuf is buildCandidates' scratch for the positive parent rows and,
+	// behind them, the negation rows, sized once to the level with the
+	// most of both; buildCandidates is never reentered, so one buffer per
+	// engine suffices.
 	rowsBuf [][]graph.VertexID
 
 	// shared coordinates the workers of a RunParallel invocation; nil for
@@ -183,13 +184,15 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 		return nil, nil
 	}
 
-	maxPos := 0
+	maxRows := 0
 	for d := range e.levels {
-		if len(e.levels[d].pos) > maxPos {
-			maxPos = len(e.levels[d].pos)
+		n := len(e.levels[d].pos)
+		for _, nc := range e.levels[d].neg {
+			n += len(nc.csrs)
 		}
+		maxRows = max(maxRows, n)
 	}
-	e.rowsBuf = make([][]graph.VertexID, maxPos)
+	e.rowsBuf = make([][]graph.VertexID, maxRows)
 
 	e.bindNECAliases(depthOf)
 
@@ -505,7 +508,7 @@ func (e *engine) match(d int, factor uint64) {
 	}
 	if lv.pinned {
 		// A pinned level contributes its fixed vertex or nothing.
-		if !containsSorted(cands, lv.pinnedVal) {
+		if !ccsr.Contains(cands, lv.pinnedVal) {
 			return
 		}
 		cands = lv.pinnedSlice
@@ -673,9 +676,10 @@ func (e *engine) candidates(d int) []graph.VertexID {
 }
 
 // buildCandidates intersects the positive parent rows and applies the
-// negation filter. The returned slice aliases lv.candsBuf unless there is a
-// single positive constraint and no negation, in which case it aliases
-// cluster memory directly (zero copy).
+// negation filter. The returned slice aliases lv.candsBuf unless the
+// smallest parent row is returned as it is — it is empty, or it is the
+// single positive constraint and there is no negation — in which case it
+// aliases cluster memory directly (zero copy).
 //
 //csce:hotpath rebuilt on every cache miss; row scratch and output buffer are engine-owned
 func (e *engine) buildCandidates(lv *level) []graph.VertexID {
@@ -688,8 +692,20 @@ func (e *engine) buildCandidates(lv *level) []graph.VertexID {
 		}
 	}
 	base := rows[smallest]
-	if len(lv.pos) == 1 && len(lv.neg) == 0 {
+	if len(base) == 0 || (len(lv.pos) == 1 && len(lv.neg) == 0) {
 		return base
+	}
+
+	// A negation row depends on its parent's mapping, not on the candidate:
+	// look each up once per build, and keep only those that can veto.
+	neg := e.rowsBuf[len(lv.pos):len(lv.pos)]
+	for _, nc := range lv.neg {
+		w := e.mapping[nc.parentDepth]
+		for _, csr := range nc.csrs {
+			if row := csr.Row(w); len(row) > 0 {
+				neg = append(neg, row)
+			}
+		}
 	}
 
 	out := lv.candsBuf[:0]
@@ -699,24 +715,13 @@ func (e *engine) buildCandidates(lv *level) []graph.VertexID {
 			if i == smallest {
 				continue
 			}
-			if !containsSorted(row, v) {
+			if !ccsr.Contains(row, v) {
 				ok = false
 				break
 			}
 		}
-		if ok {
-			for _, nc := range lv.neg {
-				w := e.mapping[nc.parentDepth]
-				for _, csr := range nc.csrs {
-					if csr.Has(w, v) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					break
-				}
-			}
+		for i := 0; ok && i < len(neg); i++ {
+			ok = !ccsr.Contains(neg[i], v)
 		}
 		if ok {
 			out = append(out, v)
@@ -768,20 +773,4 @@ func (e *engine) overDeadline() bool {
 		return true
 	}
 	return false
-}
-
-// containsSorted reports whether v occurs in the ascending slice xs.
-//
-//csce:hotpath the intersection probe; pure index arithmetic
-func containsSorted(xs []graph.VertexID, v graph.VertexID) bool {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(xs) && xs[lo] == v
 }

@@ -133,9 +133,7 @@ func NewGraph(name string, eng *core.Engine, opts Options) *Graph {
 	opts.Durability = Durability{}
 	g, err := Open(name, eng, opts)
 	if err != nil {
-		// Unreachable in practice: every other error path in Open touches
-		// the disk WAL, and the signature build only fails if the engine's
-		// just-cloned store cannot decompress itself — corruption-grade.
+		// Unreachable: every error path in Open touches the disk WAL.
 		panic(err)
 	}
 	return g
@@ -160,11 +158,7 @@ func Open(name string, eng *core.Engine, opts Options) (*Graph, error) {
 		g.wal = newWAL(opts.WALRetention, 0)
 		g.writer = eng.Store().Clone()
 		g.resumeBase = eng.Store().Clone()
-		sig, err := prefilter.Build(g.writer)
-		if err != nil {
-			return nil, fmt.Errorf("live: build prefilter signature: %w", err)
-		}
-		g.sig = sig
+		g.sig = prefilter.Build(g.writer)
 		g.installSnapshot(newSnapshot(0, eng, g.drainHook(0)))
 		return g, nil
 	}
@@ -226,11 +220,7 @@ func (g *Graph) recover(eng *core.Engine) error {
 	// The signature is rebuilt from the recovered writer, not replayed
 	// mutation-by-mutation: recovery re-interns labels by name, so only the
 	// post-replay store holds the ids the new process will mutate under.
-	sig, err := prefilter.Build(g.writer)
-	if err != nil {
-		return fmt.Errorf("live: rebuild prefilter signature: %w", err)
-	}
-	g.sig = sig
+	g.sig = prefilter.Build(g.writer)
 	pub := g.writer.Clone()
 	g.installSnapshot(newSnapshot(g.epoch, core.FromStore(pub), g.drainHook(g.epoch)))
 	g.recovery.ResumeOldestSeq = g.wal.oldestResumable()

@@ -242,21 +242,18 @@ func New(directed bool) *Signature {
 }
 
 // Build constructs the signature of an existing store by one pass over its
-// vertices and one over its clusters. The error is the store's own
-// decompression error, if any.
-func Build(st *ccsr.Store) (*Signature, error) {
+// vertices and one over its clusters.
+func Build(st *ccsr.Store) *Signature {
 	s := New(st.Directed())
 	b := BatchWriter{s: s}
 	n := st.NumVertices()
 	for v := 0; v < n; v++ {
 		b.AddVertex(st.VertexLabel(graph.VertexID(v)))
 	}
-	if err := st.EdgesAll(func(src, dst graph.VertexID, el graph.EdgeLabel) {
+	st.EdgesAll(func(src, dst graph.VertexID, el graph.EdgeLabel) {
 		b.InsertEdge(src, dst, el)
-	}); err != nil {
-		return nil, err
-	}
-	return s, nil
+	})
+	return s
 }
 
 // Batch applies a group of mutations atomically with respect to Check:

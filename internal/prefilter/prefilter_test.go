@@ -31,11 +31,7 @@ func buildGraph(t *testing.T, directed bool, labels []graph.Label, edges [][3]ui
 
 func sigOf(t *testing.T, g *graph.Graph) *Signature {
 	t.Helper()
-	s, err := Build(ccsr.Build(g))
-	if err != nil {
-		t.Fatalf("Build signature: %v", err)
-	}
-	return s
+	return Build(ccsr.Build(g))
 }
 
 const (
@@ -162,10 +158,7 @@ func TestSoundnessRandom(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			g := spec.Generate()
 			st := ccsr.Build(g)
-			sig, err := Build(st)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
+			sig := Build(st)
 			eng := core.FromStore(st)
 			rng := rand.New(rand.NewSource(spec.Seed * 31))
 			rejects := 0
@@ -229,10 +222,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				[]graph.Label{lA, lB, lC},
 				[][3]uint32{{0, 1, 0}, {1, 2, 1}},
 			))
-			sig, err := Build(st)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
+			sig := Build(st)
 			type edge struct {
 				src, dst graph.VertexID
 				el       graph.EdgeLabel
@@ -271,10 +261,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 						}
 					}
 				})
-				want, err := Build(st)
-				if err != nil {
-					t.Fatalf("rebuild: %v", err)
-				}
+				want := Build(st)
 				if got, wantS := sig.Dump(), want.Dump(); got != wantS {
 					t.Fatalf("batch %d: incremental signature diverged from rebuild:\n--- incremental\n%s\n--- rebuild\n%s", batch, got, wantS)
 				}

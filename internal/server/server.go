@@ -590,38 +590,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(rctx, params.timeout)
 	defer cancel()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	var (
-		emitted    uint64
-		writeErr   error
-		lineBuf    []byte
-		streamDead bool
-		streamNs   int64 // time spent writing NDJSON lines, accumulated per embedding
-	)
-	onEmbedding := func(m []graph.VertexID) bool {
-		wStart := time.Now()
-		lineBuf = append(lineBuf[:0], `{"embedding":[`...)
-		for i, v := range m {
-			if i > 0 {
-				lineBuf = append(lineBuf, ',')
-			}
-			lineBuf = strconv.AppendUint(lineBuf, uint64(v), 10)
-		}
-		lineBuf = append(lineBuf, ']', '}', '\n')
-		if _, err := w.Write(lineBuf); err != nil {
-			writeErr = err
-			streamDead = true
-			streamNs += int64(time.Since(wStart))
-			return false
-		}
-		emitted++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		streamNs += int64(time.Since(wStart))
-		return true
-	}
+	stream := newMatchStream(w)
+	defer stream.end()
 
 	// Phases 3+4: execution and streaming. The engine interleaves them
 	// (embeddings stream from inside the search loop), so the exec phase
@@ -635,14 +605,14 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		Workers:      params.workers,
 		Context:      ctx,
 		PreparedPlan: pl,
-		OnEmbedding:  onEmbedding,
+		OnEmbedding:  stream.embedding,
 		// Always profile: the slow-query log must have the per-level
 		// breakdown for queries that only reveal themselves as pathological
 		// after the fact. Costs a few counter increments per step.
 		Profile: true,
 	})
+	emitted, streamDur, streamDead := stream.end()
 	matchWall := time.Since(matchStart)
-	streamDur := time.Duration(streamNs)
 	execDur := matchWall - streamDur
 	if execDur < 0 {
 		execDur = 0
@@ -674,21 +644,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			obs.Str("error", matchErr.Error()))
 		return
 	}
-	var outcome string
-	switch {
-	case timedOut:
-		s.metrics.queriesTimedOut.Add(1)
-		outcome = "timeout"
-	case streamDead:
-		s.metrics.queriesCancelled.Add(1)
-		outcome = "disconnect"
-	case cancelled:
-		s.metrics.queriesCancelled.Add(1)
-		outcome = "cancelled"
-	default:
-		s.metrics.queriesOK.Add(1)
-		outcome = "ok"
-	}
+	outcome := s.recordOutcome(timedOut, streamDead, cancelled)
 	if preChecked && outcome == "ok" && res.Embeddings == 0 {
 		// The cascade admitted a query the executor proved empty: a false
 		// admit, charged to the deepest filter that looked at it.
@@ -737,10 +693,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			"threshold_ms", durMs(s.slowlog.Threshold()))
 	}
 
-	if streamDead && writeErr != nil {
-		return // client is gone; no point writing a summary
-	}
-
 	summary := map[string]any{
 		"done":             true,
 		"trace_id":         tr.ID,
@@ -763,10 +715,24 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		summary["profile"] = profileDoc(res.Profile)
 		summary["spans"] = tr.SpanDoc()
 	}
-	line, _ := json.Marshal(summary)
-	if _, err := w.Write(append(line, '\n')); err == nil && flusher != nil {
-		flusher.Flush()
+	stream.summary(summary)
+}
+
+// recordOutcome names how a match that did not error ended and counts it.
+func (s *Server) recordOutcome(timedOut, streamDead, cancelled bool) string {
+	switch {
+	case timedOut:
+		s.metrics.queriesTimedOut.Add(1)
+		return "timeout"
+	case streamDead:
+		s.metrics.queriesCancelled.Add(1)
+		return "disconnect"
+	case cancelled:
+		s.metrics.queriesCancelled.Add(1)
+		return "cancelled"
 	}
+	s.metrics.queriesOK.Add(1)
+	return "ok"
 }
 
 // writePrefilterReject finishes a query the admission cascade proved

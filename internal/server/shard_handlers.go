@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -48,38 +47,8 @@ func (s *Server) matchSharded(w http.ResponseWriter, r *http.Request, a shardedM
 	ctx, cancel := context.WithTimeout(a.rctx, a.params.timeout)
 	defer cancel()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	var (
-		emitted    uint64
-		writeErr   error
-		lineBuf    []byte
-		streamDead bool
-		streamNs   int64
-	)
-	onEmbedding := func(m []graph.VertexID) bool {
-		wStart := time.Now()
-		lineBuf = append(lineBuf[:0], `{"embedding":[`...)
-		for i, v := range m {
-			if i > 0 {
-				lineBuf = append(lineBuf, ',')
-			}
-			lineBuf = strconv.AppendUint(lineBuf, uint64(v), 10)
-		}
-		lineBuf = append(lineBuf, ']', '}', '\n')
-		if _, err := w.Write(lineBuf); err != nil {
-			writeErr = err
-			streamDead = true
-			streamNs += int64(time.Since(wStart))
-			return false
-		}
-		emitted++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		streamNs += int64(time.Since(wStart))
-		return true
-	}
+	stream := newMatchStream(w)
+	defer stream.end()
 
 	execSpanStart := time.Since(a.tr.Begin)
 	matchStart := time.Now()
@@ -88,11 +57,12 @@ func (s *Server) matchSharded(w http.ResponseWriter, r *http.Request, a shardedM
 		Mode:        a.params.mode,
 		Limit:       a.params.limit,
 		Workers:     a.params.workers,
-		OnEmbedding: onEmbedding,
+		OnEmbedding: stream.embedding,
 		// handleMatch already ran the pre-filter before the slot wait;
 		// re-checking here would double-count every query.
 		SkipPrefilter: a.preChecked,
 	})
+	emitted, streamDur, streamDead := stream.end()
 	if matchErr == nil && res.RejectedBy != "" {
 		// Backstop: the coordinator's own gate fired because the server-side
 		// check was skipped. Same wire contract as a pre-admission reject;
@@ -102,7 +72,6 @@ func (s *Server) matchSharded(w http.ResponseWriter, r *http.Request, a shardedM
 		return
 	}
 	matchWall := time.Since(matchStart)
-	streamDur := time.Duration(streamNs)
 	execSpanEnd := time.Since(a.tr.Begin)
 	a.tr.AddSpan(phaseExec, execSpanStart, execSpanEnd-streamDur,
 		obs.Int("steps", int64(res.Steps)),
@@ -134,21 +103,7 @@ func (s *Server) matchSharded(w http.ResponseWriter, r *http.Request, a shardedM
 			obs.Str("error", matchErr.Error()))
 		return
 	}
-	var outcome string
-	switch {
-	case timedOut:
-		s.metrics.queriesTimedOut.Add(1)
-		outcome = "timeout"
-	case streamDead:
-		s.metrics.queriesCancelled.Add(1)
-		outcome = "disconnect"
-	case cancelled:
-		s.metrics.queriesCancelled.Add(1)
-		outcome = "cancelled"
-	default:
-		s.metrics.queriesOK.Add(1)
-		outcome = "ok"
-	}
+	outcome := s.recordOutcome(timedOut, streamDead, cancelled)
 	if a.preChecked && outcome == "ok" && res.Embeddings == 0 {
 		s.metrics.recordPrefilterFalseAdmit(a.pre)
 	}
@@ -210,9 +165,6 @@ func (s *Server) matchSharded(w http.ResponseWriter, r *http.Request, a shardedM
 		})
 	}
 
-	if streamDead && writeErr != nil {
-		return // client is gone; no point writing a summary
-	}
 	summary := map[string]any{
 		"done":            true,
 		"trace_id":        a.tr.ID,
@@ -236,10 +188,7 @@ func (s *Server) matchSharded(w http.ResponseWriter, r *http.Request, a shardedM
 	if a.params.profile {
 		summary["spans"] = a.tr.SpanDoc()
 	}
-	line, _ := json.Marshal(summary)
-	if _, err := w.Write(append(line, '\n')); err == nil && flusher != nil {
-		flusher.Flush()
-	}
+	stream.summary(summary)
 }
 
 // mutateSharded is handleMutate's coordinator branch: the batch is routed

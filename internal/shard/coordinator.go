@@ -162,10 +162,7 @@ func Open(name string, base *ccsr.Store, opts Options) (*Coordinator, error) {
 		c.Close()
 		return nil, err
 	}
-	if err := c.seedCounters(); err != nil {
-		c.Close()
-		return nil, err
-	}
+	c.seedCounters()
 	return c, nil
 }
 
@@ -211,7 +208,7 @@ func (c *Coordinator) reconcileRecovered() error {
 
 // seedCounters scans each shard's snapshot once to initialize the
 // maintained local-vertex and boundary-edge gauges.
-func (c *Coordinator) seedCounters() error {
+func (c *Coordinator) seedCounters() {
 	owners := c.own.snapshot()
 	localVerts := make([]int, c.k)
 	for _, o := range owners {
@@ -220,18 +217,14 @@ func (c *Coordinator) seedCounters() error {
 	for i, sh := range c.locals {
 		st, _, release := sh.engineSnapshot()
 		boundary := 0
-		err := st.EdgesAll(func(src, dst graph.VertexID, _ graph.EdgeLabel) {
+		st.EdgesAll(func(src, dst graph.VertexID, _ graph.EdgeLabel) {
 			if owners[src] != owners[dst] {
 				boundary++
 			}
 		})
 		release()
-		if err != nil {
-			return fmt.Errorf("shard: scan shard %d: %w", i, err)
-		}
 		sh.seedCounts(localVerts[i], boundary)
 	}
-	return nil
 }
 
 // Name returns the coordinator's registry name.

@@ -204,11 +204,8 @@ func TestPrefilterConcurrentChecks(t *testing.T) {
 	}
 	for i, sh := range c.locals {
 		st, _, release := sh.engineSnapshot()
-		want, err := prefilter.Build(st)
+		want := prefilter.Build(st)
 		release()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got, wantS := sh.g.Prefilter().Dump(), want.Dump(); got != wantS {
 			t.Fatalf("shard %d signature diverged after concurrent load:\n--- live\n%s\n--- rebuild\n%s", i, got, wantS)
 		}
