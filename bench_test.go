@@ -19,7 +19,9 @@ import (
 	"csce/internal/bench"
 	"csce/internal/ccsr"
 	"csce/internal/dataset"
+	"csce/internal/exec"
 	"csce/internal/graph"
+	"csce/internal/plan"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -332,5 +334,72 @@ func BenchmarkPlanOptimization(b *testing.B) {
 		if _, _, err := engine.PlanOnly(p, csce.EdgeInduced); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPlanOptimizationN2000 is the Fig. 10 regime: optimization alone
+// of a sparse 2 000-vertex pattern on the Patent analogue, where every
+// per-edge cluster lookup repeated inside GCF or LDSF is multiplied by the
+// pattern size.
+func BenchmarkPlanOptimizationN2000(b *testing.B) {
+	spec, _ := dataset.ByName("Patent")
+	g := spec.Generate()
+	engine := csce.NewEngine(g)
+	p, err := dataset.SamplePattern(g, 2000, false, rand.New(rand.NewSource(13)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := engine.PlanOnly(p, csce.EdgeInduced); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildVertexInduced isolates the executor on vertex-induced dense
+// patterns on the Patent analogue, the kernel-large regime where every
+// earlier pattern vertex is a dependency parent, so candidate builds (the
+// intersections and negation filters) dominate. View and plan are prepared
+// once; ns/build divides the search time by the builds it performed.
+func BenchmarkBuildVertexInduced(b *testing.B) {
+	spec, _ := dataset.ByName("Patent")
+	g := spec.Generate()
+	store := csce.NewEngine(g).Store()
+	patterns, err := dataset.SamplePatterns(g, dataset.PatternConfig{Size: 16, Dense: true, Count: 4, Seed: 31})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type task struct {
+		view *ccsr.View
+		pl   *plan.Plan
+	}
+	var tasks []task
+	for _, p := range patterns {
+		view, err := store.ReadCSR(p, csce.VertexInduced)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := plan.Optimize(p, store, csce.VertexInduced, plan.ModeCSCE)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks = append(tasks, task{view, pl})
+	}
+	var builds uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := tasks[i%len(tasks)]
+		st, err := exec.Run(t.view, t.pl, exec.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		builds += st.CandidateBuilds
+	}
+	b.ReportMetric(float64(builds)/float64(b.N), "builds/op")
+	if builds > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(builds), "ns/build")
 	}
 }

@@ -87,7 +87,7 @@ const (
 	PlanRICluster = plan.ModeRICluster
 	PlanRM        = plan.ModeRM
 	// PlanCostBased is the extension heuristic: cluster-statistics cost
-	// model plus LDSF (see plan.CostBasedOrder).
+	// model plus LDSF (see plan.ModeCostBased).
 	PlanCostBased = plan.ModeCostBased
 )
 

@@ -133,6 +133,27 @@ func Contains(xs []graph.VertexID, v graph.VertexID) bool {
 	return i < len(xs) && xs[i] == v
 }
 
+// Seek returns the first position i >= from in the ascending slice xs with
+// xs[i] >= v, or len(xs). It gallops forward from from, doubling its stride
+// before a binary search of the last stride, so a merge that seeks ever
+// larger values costs O(log gap) per call instead of O(log len(xs)) — one
+// probe when the answer is from itself.
+//
+//csce:hotpath
+func Seek(xs []graph.VertexID, from int, v graph.VertexID) int {
+	if from >= len(xs) || xs[from] >= v {
+		return from
+	}
+	lo, hi, step := from+1, from+1, 1
+	for hi < len(xs) && xs[hi] < v {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(xs))
+	return lo + searchSorted(xs[lo:hi], v)
+}
+
 // rowAt returns the i-th non-empty row, the neighbors of vertex rows[i].
 //
 //csce:hotpath

@@ -215,6 +215,32 @@ func TestCSRHelpers(t *testing.T) {
 	}
 }
 
+// TestSeekMatchesLinearScan checks the galloping search against the obvious
+// scan at every start position and probe value, on lists whose gaps span
+// the stride lengths the gallop doubles through.
+func TestSeekMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var xs []graph.VertexID
+		v := graph.VertexID(0)
+		for i := rng.Intn(40); i > 0; i-- {
+			v += graph.VertexID(1 + rng.Intn(1+rng.Intn(9)))
+			xs = append(xs, v)
+		}
+		for from := 0; from <= len(xs)+1; from++ {
+			for probe := graph.VertexID(0); probe <= v+2; probe++ {
+				want := from
+				for want < len(xs) && xs[want] < probe {
+					want++
+				}
+				if got := Seek(xs, from, probe); got != want {
+					t.Fatalf("Seek(%v, %d, %d) = %d, want %d", xs, from, probe, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestReadCSRSelectsOnlyNeededClusters(t *testing.T) {
 	g := fig1Graph(t)
 	s := Build(g)

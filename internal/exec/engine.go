@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"csce/internal/ccsr"
@@ -8,19 +10,31 @@ import (
 	"csce/internal/plan"
 )
 
-// posConstraint requires a candidate to appear in the adjacency row of an
-// earlier mapping inside a specific cluster CSR.
-type posConstraint struct {
+// stage is one link of a level's filter chain: it keeps the candidates the
+// previous stage kept that are (a positive stage) or are not (a negation
+// stage, the vertex-induced negation of Algorithm 1/2) in the row of the
+// parent mapping e.mapping[parentDepth] in csr. Stage 0 is the shallowest
+// positive row itself.
+//
+// Each stage caches its output with the version of its parent mapping, so
+// a candidate request recomputes only from the first stage whose parent
+// changed; the prefix whose parents are all unchanged is reused as it is.
+// When every stage is current the whole list is an SCE hit.
+type stage struct {
 	parentDepth int
 	csr         *ccsr.CSR
-}
+	negate      bool
 
-// negConstraint rejects candidates adjacent (in any listed cluster side) to
-// an earlier mapping whose pattern vertex is a non-neighbor — the
-// vertex-induced negation of Algorithm 1/2.
-type negConstraint struct {
-	parentDepth int
-	csrs        []*ccsr.CSR
+	// ver is e.version[parentDepth] when out was computed. Zero never
+	// matches: a parent has been mapped, so its version is at least 1, by
+	// the time any level below it asks for candidates.
+	ver uint64
+	// out is the cluster row itself (stage 0), part of this stage's input
+	// when it dropped nothing or only a run at one end, or else a run of
+	// the level arena.
+	out []graph.VertexID
+	// end is the arena length after out; the next stage appends from here.
+	end int
 }
 
 // symConstraint enforces f(order[parentDepth]) < candidate (greater=true)
@@ -30,24 +44,22 @@ type symConstraint struct {
 	greater     bool
 }
 
-// level holds the static per-depth matching state plus the SCE cache.
+// level holds the static per-depth matching state plus its filter chain.
 type level struct {
 	u     graph.VertexID
 	label graph.Label
 
-	pos  []posConstraint
-	neg  []negConstraint
-	sym  []symConstraint
-	pool []graph.VertexID // depth-0 candidate pool
+	// stages is the level's filter chain (see stage), ordered by parent
+	// depth except that stage 0, the shallowest positive row, leads; empty
+	// at depth 0, which draws from pool.
+	stages []stage
+	sym    []symConstraint
+	pool   []graph.VertexID // depth-0 candidate pool
 
-	parentDepths []int // depths whose mapping the candidate set depends on
-
-	// SCE cache: cands is valid while cacheVers matches the version of
-	// every parent mapping.
-	cands      []graph.VertexID
-	candsBuf   []graph.VertexID
-	cacheVers  []uint64
-	cacheValid bool
+	// arena backs the stage outputs that are not aliases. Recomputing from
+	// stage i rewinds it to stages[i-1].end, so the outputs of the reused
+	// prefix are never overwritten.
+	arena []graph.VertexID
 
 	// factorizable: no later order position depends on this vertex, and
 	// injectivity cannot couple it to later vertices.
@@ -84,12 +96,6 @@ type engine struct {
 	deadline time.Time
 	done     <-chan struct{} // Options.Ctx.Done(); nil when uncancellable
 	stop     bool
-
-	// rowsBuf is buildCandidates' scratch for the positive parent rows and,
-	// behind them, the negation rows, sized once to the level with the
-	// most of both; buildCandidates is never reentered, so one buffer per
-	// engine suffices.
-	rowsBuf [][]graph.VertexID
 
 	// shared coordinates the workers of a RunParallel invocation; nil for
 	// single-threaded runs.
@@ -136,29 +142,36 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 	}
 	laterLabels := make(map[graph.Label]int) // label -> count among later vertices
 
+	// Every level's filter chain lives in one slab: one stage per positive
+	// row and, vertex-induced, per negation row (at most one per H-parent
+	// and cluster). spans[d] delimits level d's stages until the slab stops
+	// growing.
+	capacity := p.NumEdges()
+	if pl.Variant == graph.VertexInduced {
+		capacity += pl.DAG.NumEdges()
+	}
+	slab := make([]stage, 0, capacity)
+	spans := make([][2]int, n)
 	for d := n - 1; d >= 0; d-- {
 		u := pl.Order[d]
 		lv := &e.levels[d]
 		lv.u = u
 		lv.label = p.Label(u)
 
-		// Positive constraints: one per pattern edge between u and an
-		// earlier vertex, resolved to the cluster side whose rows are
-		// indexed by the earlier vertex's mapping.
-		ok, err := e.buildPositive(lv, d, depthOf)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
+		// Positive rows: one per pattern edge between u and an earlier
+		// vertex, resolved to the cluster side whose rows are indexed by the
+		// earlier vertex's mapping.
+		lo := len(slab)
+		var ok bool
+		if slab, ok = e.appendPositive(slab, lv, d, depthOf); !ok {
 			return nil, nil // missing cluster: no embeddings exist
 		}
-
-		// Negation constraints come from the dependency DAG: an H-parent
-		// that is not a pattern neighbor is a vertex-induced negation
-		// dependency.
+		// Negation rows come from the dependency DAG: an H-parent that is
+		// not a pattern neighbor is a vertex-induced negation dependency.
 		if pl.Variant == graph.VertexInduced {
-			e.buildNegation(lv, d, depthOf)
+			slab = e.appendNegation(slab, lv, d, depthOf)
 		}
+		spans[d] = [2]int{lo, len(slab)}
 
 		// Factorization eligibility (see package comment).
 		if pl.DAG != nil {
@@ -168,9 +181,13 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 			lv.factorizable = false
 		}
 		laterLabels[lv.label]++
-
-		lv.parentDepths = collectParents(lv)
-		lv.cacheVers = make([]uint64, len(lv.parentDepths))
+	}
+	for d := 1; d < n; d++ {
+		lv := &e.levels[d]
+		lv.stages = slab[spans[d][0]:spans[d][1]:spans[d][1]]
+		if !orderStages(lv.stages) {
+			return nil, errInternal("order position %d (u%d) has no earlier pattern neighbor", d, lv.u)
+		}
 	}
 
 	// Depth 0 candidate pool: the smallest incident cluster's non-empty
@@ -183,16 +200,6 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 	if e.levels[0].pool == nil {
 		return nil, nil
 	}
-
-	maxRows := 0
-	for d := range e.levels {
-		n := len(e.levels[d].pos)
-		for _, nc := range e.levels[d].neg {
-			n += len(nc.csrs)
-		}
-		maxRows = max(maxRows, n)
-	}
-	e.rowsBuf = make([][]graph.VertexID, maxRows)
 
 	e.bindNECAliases(depthOf)
 
@@ -228,19 +235,12 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 	return e, nil
 }
 
-// buildPositive resolves the pattern edges between order[d] and earlier
-// vertices into cluster CSR constraints. It reports ok=false when a needed
-// cluster does not exist in the data graph.
-func (e *engine) buildPositive(lv *level, d int, depthOf []int) (bool, error) {
+// appendPositive resolves the pattern edges between order[d] and earlier
+// vertices into positive stages. It reports ok=false when a needed cluster
+// does not exist in the data graph.
+func (e *engine) appendPositive(slab []stage, lv *level, d int, depthOf []int) ([]stage, bool) {
 	p := e.pl.Pattern
 	u := lv.u
-	add := func(w graph.VertexID, csr *ccsr.CSR) bool {
-		if csr == nil {
-			return false
-		}
-		lv.pos = append(lv.pos, posConstraint{parentDepth: depthOf[w], csr: csr})
-		return true
-	}
 	if p.Directed() {
 		// Edges w -> u: candidates are outgoing neighbors of f(w).
 		for _, nb := range p.In(u) {
@@ -248,9 +248,10 @@ func (e *engine) buildPositive(lv *level, d int, depthOf []int) (bool, error) {
 				continue
 			}
 			c := e.view.EdgeCluster(p.Label(nb.To), lv.label, nb.Label)
-			if c == nil || !add(nb.To, c.FromSrc()) {
-				return false, nil
+			if c == nil {
+				return slab, false
 			}
+			slab = append(slab, stage{parentDepth: depthOf[nb.To], csr: c.FromSrc()})
 		}
 		// Edges u -> w: candidates are incoming neighbors of f(w).
 		for _, nb := range p.Out(u) {
@@ -258,32 +259,34 @@ func (e *engine) buildPositive(lv *level, d int, depthOf []int) (bool, error) {
 				continue
 			}
 			c := e.view.EdgeCluster(lv.label, p.Label(nb.To), nb.Label)
-			if c == nil || !add(nb.To, c.FromDst()) {
-				return false, nil
+			if c == nil {
+				return slab, false
 			}
+			slab = append(slab, stage{parentDepth: depthOf[nb.To], csr: c.FromDst()})
 		}
-		return true, nil
+		return slab, true
 	}
 	for _, nb := range p.Out(u) {
 		if depthOf[nb.To] >= d {
 			continue
 		}
 		c := e.view.EdgeCluster(lv.label, p.Label(nb.To), nb.Label)
-		if c == nil || !add(nb.To, c.FromSrc()) {
-			return false, nil
+		if c == nil {
+			return slab, false
 		}
+		slab = append(slab, stage{parentDepth: depthOf[nb.To], csr: c.FromSrc()})
 	}
-	return true, nil
+	return slab, true
 }
 
-// buildNegation derives the vertex-induced negation checks for depth d
+// appendNegation derives the vertex-induced negation stages for depth d
 // from the dependency DAG. For a non-neighbor H-parent, every data arc
 // between the mappings is forbidden. For a pattern-neighbor parent, only
 // the arcs the pattern actually has are allowed: a reverse arc or an arc
 // with a different edge label in the data graph would make the induced
 // subgraph non-isomorphic to P, so clusters holding such arcs become
-// negation checks too.
-func (e *engine) buildNegation(lv *level, d int, depthOf []int) {
+// negation rows too.
+func (e *engine) appendNegation(slab []stage, lv *level, d int, depthOf []int) []stage {
 	p := e.pl.Pattern
 	u := lv.u
 	for _, par := range e.pl.DAG.In(int(u)) {
@@ -291,36 +294,52 @@ func (e *engine) buildNegation(lv *level, d int, depthOf []int) {
 		if depthOf[w] >= d {
 			continue
 		}
-		nc := negConstraint{parentDepth: depthOf[w]}
+		neg := func(csr *ccsr.CSR) {
+			slab = append(slab, stage{parentDepth: depthOf[w], csr: csr, negate: true})
+		}
 		for _, c := range e.view.PairClusters(p.Label(w), p.Label(u)) {
 			if !c.Key.Directed {
-				if !patternHasUndirected(p, w, u, c.Key.Edge) {
-					nc.csrs = append(nc.csrs, c.Out)
+				if !p.HasEdgeLabeled(w, u, c.Key.Edge) {
+					neg(c.Out)
 				}
 				continue
 			}
-			// Directed cluster (L(w) -> L(u)): rows of Out are indexed by
-			// the w-side; (L(u) -> L(w)): rows of In are indexed by the
-			// w-side. Either way Has(f(w), candidate) answers adjacency.
+			// Directed cluster (L(w) -> L(u)): rows of Out are indexed by the
+			// w-side; (L(u) -> L(w)): rows of In are indexed by the w-side.
+			// Either way the row of f(w) lists the candidates adjacent to it.
 			// Clusters whose arc the pattern requires are excluded — the
-			// positive constraints already enforce their presence.
+			// positive stages already enforce their presence.
 			if c.Key.Src == p.Label(w) && !p.HasEdgeLabeled(w, u, c.Key.Edge) {
-				nc.csrs = append(nc.csrs, c.Out)
+				neg(c.Out)
 			}
 			if c.Key.Dst == p.Label(w) && !p.HasEdgeLabeled(u, w, c.Key.Edge) {
-				nc.csrs = append(nc.csrs, c.In)
+				neg(c.In)
 			}
 		}
-		if len(nc.csrs) > 0 {
-			lv.neg = append(lv.neg, nc)
-		}
 	}
+	return slab
 }
 
-// patternHasUndirected reports whether the undirected pattern has an edge
-// between w and u with the given label.
-func patternHasUndirected(p *graph.Graph, w, u graph.VertexID, el graph.EdgeLabel) bool {
-	return p.HasEdgeLabeled(w, u, el)
+// orderStages arranges one level's chain: the shallowest positive stage
+// leads (its row is handed out as it is), and the rest follow by ascending
+// parent depth, so a negation shallower than the lead comes right after
+// it. The sort is stable, so at equal depth positives precede negations.
+// It reports false when the level has no positive stage.
+func orderStages(st []stage) bool {
+	lead := -1
+	for i := range st {
+		if !st[i].negate && (lead < 0 || st[i].parentDepth < st[lead].parentDepth) {
+			lead = i
+		}
+	}
+	if lead < 0 {
+		return false
+	}
+	first := st[lead]
+	copy(st[1:lead+1], st[:lead])
+	st[0] = first
+	slices.SortStableFunc(st[1:], func(a, b stage) int { return cmp.Compare(a.parentDepth, b.parentDepth) })
+	return true
 }
 
 // buildPool selects the depth-0 candidate pool from the smallest incident
@@ -422,12 +441,12 @@ func (e *engine) bindNECAliases(depthOf []int) {
 		for _, u := range class {
 			depths = append(depths, depthOf[u])
 		}
-		sortInts(depths)
+		slices.Sort(depths)
 		for i := 1; i < len(depths); i++ {
 			d := depths[i]
 			for j := 0; j < i; j++ {
 				ea := depths[j]
-				if sameParents(e.levels[d].parentDepths, e.levels[ea].parentDepths) {
+				if sameParents(e.levels[d].stages, e.levels[ea].stages) {
 					e.levels[d].necAlias = ea
 					break
 				}
@@ -436,49 +455,20 @@ func (e *engine) bindNECAliases(depthOf []int) {
 	}
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+// sameParents reports whether two chains depend on the same set of earlier
+// depths.
+func sameParents(a, b []stage) bool {
+	return coversParents(a, b) && coversParents(b, a)
 }
 
-func sameParents(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
+// coversParents reports whether every parent depth of a is one of b's.
+func coversParents(a, b []stage) bool {
 	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(b, func(y stage) bool { return y.parentDepth == x.parentDepth }) {
 			return false
 		}
 	}
 	return true
-}
-
-func collectParents(lv *level) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range lv.pos {
-		if !seen[c.parentDepth] {
-			seen[c.parentDepth] = true
-			out = append(out, c.parentDepth)
-		}
-	}
-	for _, c := range lv.neg {
-		if !seen[c.parentDepth] {
-			seen[c.parentDepth] = true
-			out = append(out, c.parentDepth)
-		}
-	}
-	return out
 }
 
 // run drives the search from depth 0.
@@ -625,8 +615,9 @@ func (e *engine) emit(factor uint64) {
 	}
 }
 
-// candidates returns the candidate list of depth d, reusing the SCE cache
-// when no parent mapping changed since it was built.
+// candidates returns the candidate list of depth d. The level's filter
+// chain is recomputed from its first stage whose parent mapping changed
+// since it was built; when none did, the cached list is an SCE hit.
 //
 //csce:hotpath the cache-hit path must stay allocation-free
 func (e *engine) candidates(d int) []graph.VertexID {
@@ -636,7 +627,7 @@ func (e *engine) candidates(d int) []graph.VertexID {
 	}
 	if lv.necAlias >= 0 {
 		// NEC sharing: an equivalent earlier vertex with the same parents
-		// has this exact candidate list (its cache is necessarily valid,
+		// has this exact candidate list (its chain is necessarily current,
 		// since its parents are all mapped above us and unchanged).
 		e.stats.NECShares++
 		if e.prof != nil {
@@ -644,91 +635,134 @@ func (e *engine) candidates(d int) []graph.VertexID {
 		}
 		return e.candidates(lv.necAlias)
 	}
-	if !e.opts.DisableSCECache && lv.cacheValid {
-		hit := true
-		for i, pd := range lv.parentDepths {
-			if lv.cacheVers[i] != e.version[pd] {
-				hit = false
-				break
-			}
+	from := 0
+	if !e.opts.DisableSCECache {
+		for from < len(lv.stages) && lv.stages[from].ver == e.version[lv.stages[from].parentDepth] {
+			from++
 		}
-		if hit {
+		if from == len(lv.stages) {
 			e.stats.CandidateReuses++
 			if e.prof != nil {
 				e.prof.levels[d].CandidateReuses++
 			}
-			return lv.cands
+			return lv.stages[from-1].out
 		}
 	}
 	e.stats.CandidateBuilds++
-	lv.cands = e.buildCandidates(lv)
+	cands := e.rebuild(lv, from)
 	if e.prof != nil {
 		e.prof.levels[d].CandidateBuilds++
-		e.prof.levels[d].CandidateTotal += uint64(len(lv.cands))
+		e.prof.levels[d].CandidateTotal += uint64(len(cands))
 	}
-	if !e.opts.DisableSCECache {
-		for i, pd := range lv.parentDepths {
-			lv.cacheVers[i] = e.version[pd]
-		}
-		lv.cacheValid = true
-	}
-	return lv.cands
+	return cands
 }
 
-// buildCandidates intersects the positive parent rows and applies the
-// negation filter. The returned slice aliases lv.candsBuf unless the
-// smallest parent row is returned as it is — it is empty, or it is the
-// single positive constraint and there is no negation — in which case it
-// aliases cluster memory directly (zero copy).
+// rebuild recomputes lv's chain from stage from on, reusing the outputs
+// of the stages before it, and returns the last stage's output. Stage 0
+// is the lead row itself (zero copy); every later stage is a galloping
+// merge of its input with one row. Outputs that are not aliases are
+// appended to the level arena behind the reused prefix, which grows by
+// append and is never reallocated for the prefix's sake: a prefix output in
+// an outgrown arena stays valid where it is.
 //
-//csce:hotpath rebuilt on every cache miss; row scratch and output buffer are engine-owned
-func (e *engine) buildCandidates(lv *level) []graph.VertexID {
-	rows := e.rowsBuf[:len(lv.pos)]
-	smallest := 0
-	for i, c := range lv.pos {
-		rows[i] = c.csr.Row(e.mapping[c.parentDepth])
-		if len(rows[i]) < len(rows[smallest]) {
-			smallest = i
+//csce:hotpath rebuilt on every SCE miss; stage outputs are level-owned
+func (e *engine) rebuild(lv *level, from int) []graph.VertexID {
+	var in []graph.VertexID
+	end := 0
+	if from > 0 {
+		in, end = lv.stages[from-1].out, lv.stages[from-1].end
+	}
+	for i := from; i < len(lv.stages); i++ {
+		st := &lv.stages[i]
+		st.ver = e.version[st.parentDepth]
+		switch {
+		case i == 0:
+			in = st.csr.Row(e.mapping[st.parentDepth])
+		case len(in) == 0:
+			// Nothing left to filter, and nothing to look up.
+		default:
+			row := st.csr.Row(e.mapping[st.parentDepth])
+			arena := lv.arena[:end]
+			if st.negate {
+				in, arena = subtract(arena, in, row)
+			} else {
+				in, arena = intersect(arena, in, row)
+			}
+			lv.arena, end = arena, len(arena)
 		}
+		st.out, st.end = in, end
 	}
-	base := rows[smallest]
-	if len(base) == 0 || (len(lv.pos) == 1 && len(lv.neg) == 0) {
-		return base
-	}
+	return in
+}
 
-	// A negation row depends on its parent's mapping, not on the candidate:
-	// look each up once per build, and keep only those that can veto.
-	neg := e.rowsBuf[len(lv.pos):len(lv.pos)]
-	for _, nc := range lv.neg {
-		w := e.mapping[nc.parentDepth]
-		for _, csr := range nc.csrs {
-			if row := csr.Row(w); len(row) > 0 {
-				neg = append(neg, row)
-			}
+// intersect returns in ∩ row. Both lists ascend; the merge gallops forward
+// through whichever side is behind, so a short side costs O(short ·
+// log(long/short)) rather than one binary search per element. While every
+// element of in is kept the result is a prefix of in itself; from the first
+// drop on, the kept elements are appended to arena.
+//
+//csce:hotpath one call per positive stage recomputed
+func intersect(arena, in, row []graph.VertexID) (out, grown []graph.VertexID) {
+	start := len(arena)
+	copying := false
+	i, j := 0, 0
+	for i < len(in) {
+		v := in[i]
+		if j = ccsr.Seek(row, j, v); j == len(row) {
+			break
 		}
+		if row[j] == v {
+			if copying {
+				arena = append(arena, v)
+			}
+			i++
+			j++
+			continue
+		}
+		// v is not in row, and neither is anything in in below row[j].
+		if !copying {
+			arena = append(arena, in[:i]...)
+			copying = true
+		}
+		i = ccsr.Seek(in, i+1, row[j])
 	}
+	if !copying {
+		return in[:i], arena
+	}
+	return arena[start:], arena
+}
 
-	out := lv.candsBuf[:0]
-	for _, v := range base {
-		ok := true
-		for i, row := range rows {
-			if i == smallest {
-				continue
-			}
-			if !ccsr.Contains(row, v) {
-				ok = false
-				break
-			}
+// subtract returns in minus the elements of row, with intersect's gallop.
+// While nothing but a leading run is dropped the result is a suffix of in
+// itself; otherwise the kept runs between dropped elements are appended to
+// arena.
+//
+//csce:hotpath one call per negation stage recomputed
+func subtract(arena, in, row []graph.VertexID) (out, grown []graph.VertexID) {
+	start := len(arena)
+	kept := 0 // in[kept:i] is the pending run of kept elements
+	i, j := 0, 0
+	for i < len(in) {
+		v := in[i]
+		if j = ccsr.Seek(row, j, v); j == len(row) {
+			break
 		}
-		for i := 0; ok && i < len(neg); i++ {
-			ok = !ccsr.Contains(neg[i], v)
+		if row[j] != v {
+			// Everything in in below row[j] is kept.
+			i = ccsr.Seek(in, i+1, row[j])
+			continue
 		}
-		if ok {
-			out = append(out, v)
-		}
+		arena = append(arena, in[kept:i]...)
+		i++
+		j++
+		kept = i
 	}
-	lv.candsBuf = out
-	return out
+	if len(arena) == start {
+		// Nothing was dropped, or only a leading run: in[kept:] is the result.
+		return in[kept:], arena
+	}
+	arena = append(arena, in[kept:]...)
+	return arena[start:], arena
 }
 
 //csce:hotpath checked once per candidate vertex

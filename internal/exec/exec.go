@@ -6,11 +6,13 @@
 // Sequential candidate equivalence (Section V) is exploited in two ways:
 //
 //   - Candidate reuse: the candidate set of a pattern vertex depends only on
-//     the mappings of its dependency-DAG parents. Each depth caches its
-//     candidate list together with the version of every parent mapping; when
-//     backtracking changes only independent vertices, the cached list is
-//     reused instead of recomputed. An empty cached list prunes whole
-//     subtrees, subsuming failing-set pruning (Finding 3).
+//     the mappings of its dependency-DAG parents. Each depth builds its
+//     candidate list as a chain of filters ordered by parent depth, each
+//     cached with the version of its parent's mapping; when backtracking
+//     changes only independent vertices, the whole list is reused instead
+//     of recomputed, and when it changes only deeper parents, the filters
+//     of the shallower ones are. An empty cached list prunes whole subtrees
+//     (Finding 3); there is no failing-set pruning beyond that.
 //
 //   - Factorized counting: a vertex with no dependents among later order
 //     positions contributes a plain multiplicative factor to the embedding

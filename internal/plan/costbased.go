@@ -7,7 +7,7 @@ import (
 	"csce/internal/graph"
 )
 
-// CostBasedOrder is the alternative ordering heuristic the paper's
+// costBasedOrder is the alternative ordering heuristic the paper's
 // conclusion points at as future work: instead of RI's purely structural
 // Greatest-Constraint-First rules, it greedily minimizes an estimated
 // partial-embedding cardinality derived from CCSR cluster statistics —
@@ -18,12 +18,11 @@ import (
 // the frequency of the already-matched side's label) as the expected
 // number of extensions one backward edge contributes, and takes the
 // minimum over all backward edges, since execution intersects them.
-func CostBasedOrder(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
+func costBasedOrder(p *graph.Graph, store *ccsr.Store, es *edgeSizes) []graph.VertexID {
 	n := p.NumVertices()
 	if n == 0 {
 		return nil
 	}
-	nbrs := undirectedAdjacency(p)
 	inOrder := make([]bool, n)
 	order := make([]graph.VertexID, 0, n)
 
@@ -32,13 +31,13 @@ func CostBasedOrder(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
 	best, bestEst := 0, math.MaxFloat64
 	for v := 0; v < n; v++ {
 		est := float64(store.LabelFrequency(p.Label(graph.VertexID(v))))
-		if s := minIncidentClusterSize(p, store, graph.VertexID(v)); s != math.MaxInt {
+		if s := es.minIncident(graph.VertexID(v)); s != math.MaxInt {
 			if cs := float64(s); cs < est {
 				est = cs
 			}
 		}
 		// Prefer constrained (high-degree) starts among equals.
-		est /= float64(1 + p.Degree(graph.VertexID(v)))
+		est /= float64(1 + len(es.nbrs[v]))
 		if est < bestEst {
 			best, bestEst = v, est
 		}
@@ -56,12 +55,12 @@ func CostBasedOrder(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
 			ux := graph.VertexID(x)
 			fanout := math.MaxFloat64
 			backEdges := 0
-			for _, u := range nbrs[ux] {
+			for k, u := range es.nbrs[ux] {
 				if !inOrder[u] {
 					continue
 				}
 				backEdges++
-				if f := edgeFanout(p, store, u, ux); f < fanout {
+				if f := edgeFanout(p, store, u, es.size[ux][k]); f < fanout {
 					fanout = f
 				}
 			}
@@ -88,11 +87,10 @@ func CostBasedOrder(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
 	return order
 }
 
-// edgeFanout estimates how many candidates one mapped endpoint of the
-// pattern edge (u, x) contributes: cluster size over the matched side's
-// label frequency.
-func edgeFanout(p *graph.Graph, store *ccsr.Store, u, x graph.VertexID) float64 {
-	size := edgeClusterSize(p, store, u, x)
+// edgeFanout estimates how many candidates the mapped endpoint u of a
+// pattern edge with cluster size size contributes: cluster size over the
+// matched side's label frequency.
+func edgeFanout(p *graph.Graph, store *ccsr.Store, u graph.VertexID, size int) float64 {
 	if size == math.MaxInt {
 		return math.MaxFloat64
 	}

@@ -9,6 +9,7 @@ package plan
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"csce/internal/ccsr"
 	"csce/internal/graph"
@@ -86,6 +87,9 @@ func (d *DAG) NumEdges() int {
 // store may be nil, in which case every non-adjacent pair is conservatively
 // treated as dependent (no cluster emptiness information).
 func BuildDAG(store *ccsr.Store, p *graph.Graph, order []graph.VertexID, variant graph.Variant) *DAG {
+	if variant != graph.VertexInduced {
+		return buildEdgeDAG(p, order)
+	}
 	n := len(order)
 	d := NewDAG(p.NumVertices())
 	for j := 1; j < n; j++ {
@@ -109,6 +113,43 @@ func BuildDAG(store *ccsr.Store, p *graph.Graph, order []graph.VertexID, variant
 			if store == nil || pairClustersNonEmpty(store, p.Label(ui), p.Label(uj)) {
 				d.AddEdge(int(ui), int(uj))
 			}
+		}
+	}
+	return d
+}
+
+// buildEdgeDAG is BuildDAG for the variants whose only dependencies are
+// pattern edges. It walks each vertex's adjacency once with an order
+// position array, O(E log d) instead of O(n²) adjacency probes, and adds
+// each vertex's earlier neighbors in ascending position, as the pairwise
+// scan does, so the in and out lists come out in the same order.
+func buildEdgeDAG(p *graph.Graph, order []graph.VertexID) *DAG {
+	d := NewDAG(p.NumVertices())
+	pos := make([]int, p.NumVertices())
+	for v := range pos {
+		pos[v] = len(order) // not in order: never earlier than anything
+	}
+	for i, u := range order {
+		pos[u] = i
+	}
+	var earlier []int
+	for j, uj := range order {
+		earlier = earlier[:0]
+		for _, nb := range p.Out(uj) {
+			if pos[nb.To] < j {
+				earlier = append(earlier, pos[nb.To])
+			}
+		}
+		if p.Directed() {
+			for _, nb := range p.In(uj) {
+				if pos[nb.To] < j {
+					earlier = append(earlier, pos[nb.To])
+				}
+			}
+		}
+		slices.Sort(earlier)
+		for _, i := range earlier {
+			d.AddEdge(int(order[i]), int(uj)) // repeats (parallel edges, arcs both ways) are ignored
 		}
 	}
 	return d
@@ -165,28 +206,6 @@ func (d *DAG) descendantSets() bitMatrix {
 		frontier = next
 	}
 	return desc
-}
-
-// Reaches reports whether a path u ->* w exists in H. It recomputes the
-// descendant set of u; callers needing many queries should use
-// descendantSets via SCEOccurrence.
-func (d *DAG) Reaches(u, w int) bool {
-	seen := make([]bool, d.n)
-	stack := []int{u}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range d.out[x] {
-			if int(c) == w {
-				return true
-			}
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, int(c))
-			}
-		}
-	}
-	return false
 }
 
 // IsTopologicalOrder reports whether order visits every H-parent before its

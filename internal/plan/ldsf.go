@@ -21,6 +21,10 @@ import (
 // store may be nil; the cluster and frequency tie-breakers then fall back
 // to pattern-local information.
 func GeneratePlan(h *DAG, descSizes []int, store *ccsr.Store, p *graph.Graph) []graph.VertexID {
+	return generatePlan(h, descSizes, store, p, newEdgeSizes(p, store))
+}
+
+func generatePlan(h *DAG, descSizes []int, store *ccsr.Store, p *graph.Graph, es *edgeSizes) []graph.VertexID {
 	n := h.N()
 	order := make([]graph.VertexID, 0, n)
 	inOrder := make([]bool, n)
@@ -43,16 +47,9 @@ func GeneratePlan(h *DAG, descSizes []int, store *ccsr.Store, p *graph.Graph) []
 	}
 	minClusterToOrdered := func(v graph.VertexID) int {
 		best := math.MaxInt
-		for _, uj := range p.UndirectedNeighbors(v) {
-			if !inOrder[uj] {
-				continue
-			}
-			w := math.MaxInt
-			if store != nil {
-				w = edgeClusterSize(p, store, uj, v)
-			}
-			if w < best {
-				best = w
+		for k, uj := range es.nbrs[v] {
+			if inOrder[uj] {
+				best = min(best, es.size[v][k])
 			}
 		}
 		return best

@@ -22,14 +22,16 @@ import (
 // otherwise the pure RI rules apply (ties fall through to the smallest
 // vertex ID for determinism).
 func GCF(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
-	n := p.NumVertices()
+	return gcf(newEdgeSizes(p, store))
+}
+
+func gcf(es *edgeSizes) []graph.VertexID {
+	n := len(es.nbrs)
 	if n == 0 {
 		return nil
 	}
 	st := &gcfState{
-		p:          p,
-		store:      store,
-		nbrs:       undirectedAdjacency(p),
+		es:         es,
 		inOrder:    make([]bool, n),
 		adjToOrder: make([]bool, n),
 		t1:         make([]int, n),
@@ -45,8 +47,8 @@ func GCF(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
 	bestDeg := -1
 	bestOmega := math.MaxInt
 	for v := 0; v < n; v++ {
-		deg := p.Degree(graph.VertexID(v))
-		omega := minIncidentClusterSize(p, store, graph.VertexID(v))
+		deg := len(es.nbrs[v])
+		omega := es.minIncident(graph.VertexID(v))
 		if deg > bestDeg || (deg == bestDeg && omega < bestOmega) {
 			best, bestDeg, bestOmega = v, deg, omega
 		}
@@ -61,9 +63,7 @@ func GCF(p *graph.Graph, store *ccsr.Store) []graph.VertexID {
 
 // gcfState carries the incrementally maintained Eq. 1/Eq. 2 quantities.
 type gcfState struct {
-	p     *graph.Graph
-	store *ccsr.Store
-	nbrs  [][]graph.VertexID // precomputed undirected adjacency
+	es *edgeSizes
 
 	inOrder    []bool
 	adjToOrder []bool // vertex has >= 1 ordered neighbor
@@ -74,15 +74,11 @@ type gcfState struct {
 // take appends u to the order and updates neighbor counters.
 func (st *gcfState) take(order []graph.VertexID, u graph.VertexID) []graph.VertexID {
 	st.inOrder[u] = true
-	for _, w := range st.nbrs[u] {
+	for k, w := range st.es.nbrs[u] {
 		st.adjToOrder[w] = true
 		if !st.inOrder[w] {
 			st.t1[w]++
-			if st.store != nil {
-				if s := edgeClusterSize(st.p, st.store, u, w); s < st.om1[w] {
-					st.om1[w] = s
-				}
-			}
+			st.om1[w] = min(st.om1[w], st.es.size[u][k])
 		}
 	}
 	return append(order, u)
@@ -100,24 +96,17 @@ func (st *gcfState) pick() graph.VertexID {
 		s := gcfScore{v: ux, t1: st.t1[x], om1: st.om1[x], om2: math.MaxInt, om3: math.MaxInt}
 		// T2 and T3 classify the unordered neighbors uj of ux: T2 if uj is
 		// also adjacent to some ordered vertex, T3 otherwise.
-		for _, uj := range st.nbrs[ux] {
+		for k, uj := range st.es.nbrs[ux] {
 			if st.inOrder[uj] {
 				continue
 			}
-			w := math.MaxInt
-			if st.store != nil {
-				w = edgeClusterSize(st.p, st.store, ux, uj)
-			}
+			w := st.es.size[ux][k]
 			if st.adjToOrder[uj] {
 				s.t2++
-				if w < s.om2 {
-					s.om2 = w
-				}
+				s.om2 = min(s.om2, w)
 			} else {
 				s.t3++
-				if w < s.om3 {
-					s.om3 = w
-				}
+				s.om3 = min(s.om3, w)
 			}
 		}
 		if best == nil || gcfLess(best, &s) {
@@ -178,22 +167,6 @@ func edgeClusterSize(p *graph.Graph, store *ccsr.Store, ua, ub graph.VertexID) i
 	return best
 }
 
-// minIncidentClusterSize is the Eq. 2 first-vertex tie-breaker: the
-// smallest cluster size over all pattern edges incident to ux. Without a
-// store it returns a constant so degree alone decides.
-func minIncidentClusterSize(p *graph.Graph, store *ccsr.Store, ux graph.VertexID) int {
-	if store == nil {
-		return math.MaxInt
-	}
-	best := math.MaxInt
-	for _, uj := range p.UndirectedNeighbors(ux) {
-		if w := edgeClusterSize(p, store, ux, uj); w < best {
-			best = w
-		}
-	}
-	return best
-}
-
 // RMOrder reproduces the RapidMatch ordering heuristic used as the Fig. 13
 // baseline: repeatedly pick the vertex connecting the highest number of
 // already-ordered vertices, starting from the highest-degree vertex; ties
@@ -236,13 +209,47 @@ func RMOrder(p *graph.Graph) []graph.VertexID {
 	return order
 }
 
-// undirectedAdjacency precomputes the distinct-neighbor lists of every
-// pattern vertex, so the order heuristics do not re-merge in/out adjacency
-// on every evaluation.
-func undirectedAdjacency(p *graph.Graph) [][]graph.VertexID {
-	out := make([][]graph.VertexID, p.NumVertices())
-	for v := range out {
-		out[v] = p.UndirectedNeighbors(graph.VertexID(v))
+// edgeSizes is the pattern's undirected adjacency with every edge's
+// cluster size |I_C| (Eq. 2) beside it, computed once per Optimize: GCF,
+// LDSF and the cost-based order read a size by adjacency position instead
+// of repeating a cluster-map lookup per edge per step. A size is the same
+// from either endpoint whenever the pattern's directedness matches the
+// store's, which ReadCSR requires of every plan that runs.
+type edgeSizes struct {
+	nbrs [][]graph.VertexID // distinct neighbors of each vertex, ascending
+	size [][]int            // size[v][k] is |I_C| of edge (v, nbrs[v][k]); math.MaxInt without a store
+}
+
+func newEdgeSizes(p *graph.Graph, store *ccsr.Store) *edgeSizes {
+	n := p.NumVertices()
+	es := &edgeSizes{nbrs: make([][]graph.VertexID, n), size: make([][]int, n)}
+	for v := range es.nbrs {
+		es.nbrs[v] = p.UndirectedNeighbors(graph.VertexID(v))
 	}
-	return out
+	total := 0
+	for _, ns := range es.nbrs {
+		total += len(ns)
+	}
+	flat := make([]int, total)
+	for v, ns := range es.nbrs {
+		es.size[v], flat = flat[:len(ns):len(ns)], flat[len(ns):]
+		for k, w := range ns {
+			es.size[v][k] = math.MaxInt
+			if store != nil {
+				es.size[v][k] = edgeClusterSize(p, store, graph.VertexID(v), w)
+			}
+		}
+	}
+	return es
+}
+
+// minIncident is the Eq. 2 first-vertex tie-breaker: the smallest cluster
+// size over the pattern edges incident to v (math.MaxInt without a store,
+// so degree alone decides).
+func (es *edgeSizes) minIncident(v graph.VertexID) int {
+	best := math.MaxInt
+	for _, w := range es.size[v] {
+		best = min(best, w)
+	}
+	return best
 }

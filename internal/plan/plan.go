@@ -24,7 +24,7 @@ const (
 	// ModeRM uses the RapidMatch ordering heuristic.
 	ModeRM
 	// ModeCostBased replaces GCF with the cluster-statistics cost model of
-	// CostBasedOrder, then applies the LDSF refinement — the alternative
+	// costBasedOrder, then applies the LDSF refinement — the alternative
 	// heuristic the paper's conclusion suggests exploring.
 	ModeCostBased
 )
@@ -117,19 +117,23 @@ func Optimize(p *graph.Graph, store *ccsr.Store, variant graph.Variant, mode Mod
 		return nil, fmt.Errorf("plan: pattern must be connected")
 	}
 
+	// es sizes every pattern edge once for GCF, LDSF and the cost model.
+	var es *edgeSizes
 	var initial []graph.VertexID
 	switch mode {
 	case ModeRM:
 		initial = RMOrder(p)
 	case ModeRI:
-		initial = GCF(p, nil)
+		initial = gcf(newEdgeSizes(p, nil))
 	case ModeCostBased:
 		if store == nil {
 			return nil, fmt.Errorf("plan: cost-based ordering needs cluster statistics")
 		}
-		initial = CostBasedOrder(p, store)
+		es = newEdgeSizes(p, store)
+		initial = costBasedOrder(p, store, es)
 	default:
-		initial = GCF(p, store)
+		es = newEdgeSizes(p, store)
+		initial = gcf(es)
 	}
 
 	h := BuildDAG(store, p, initial, variant)
@@ -137,7 +141,7 @@ func Optimize(p *graph.Graph, store *ccsr.Store, variant graph.Variant, mode Mod
 
 	order := initial
 	if mode == ModeCSCE || mode == ModeCostBased {
-		order = GeneratePlan(h, desc, store, p)
+		order = generatePlan(h, desc, store, p, es)
 	}
 
 	pl := &Plan{

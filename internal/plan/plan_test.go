@@ -290,7 +290,7 @@ func TestDescendantSizesMatchBruteForce(t *testing.T) {
 		for v := 0; v < n; v++ {
 			brute := 0
 			for w := 0; w < n; w++ {
-				if w != v && d.Reaches(v, w) {
+				if w != v && reaches(d, v, w) {
 					brute++
 				}
 			}
@@ -299,6 +299,27 @@ func TestDescendantSizesMatchBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reaches reports whether a path u ->* w exists in d, by a fresh
+// depth-first search: the brute-force reference for descendant sets.
+func reaches(d *DAG, u, w int) bool {
+	seen := make([]bool, d.N())
+	stack := []int{u}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range d.Out(x) {
+			if int(c) == w {
+				return true
+			}
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, int(c))
+			}
+		}
+	}
+	return false
 }
 
 func TestGeneratePlanIsTopologicalOrder(t *testing.T) {
