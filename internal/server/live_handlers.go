@@ -123,12 +123,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.mutAdm.release()
 
-	if ent.Sharded != nil {
-		s.mutateSharded(w, tr, rctx, start, ent, muts)
-		return
-	}
-
-	com, err := ent.Live.Mutate(rctx, muts)
+	rec, err := s.backend(ent).mutate(rctx, muts)
 	if err != nil {
 		if errors.Is(err, live.ErrClosed) {
 			jsonError(w, http.StatusServiceUnavailable, "graph is closed")
@@ -147,36 +142,20 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.mutationsOK.Add(1)
-	s.log.Info("mutation batch",
+	s.log.Info("mutation batch", append([]any{
 		"trace_id", tr.ID,
 		"graph", ent.Name,
 		"mutations", len(muts),
-		"epoch", com.Epoch,
-		"last_seq", com.LastSeq,
-		"deltas", com.Deltas,
 		"total_ms", durMs(time.Since(start)),
-	)
-	doc := map[string]any{
-		"applied":     len(muts),
-		"trace_id":    tr.ID,
-		"first_seq":   com.FirstSeq,
-		"last_seq":    com.LastSeq,
-		"epoch":       com.Epoch,
-		"deltas":      com.Deltas,
-		"retractions": com.Retractions,
-	}
-	if len(com.AddedVertices) > 0 {
-		doc["added_vertices"] = com.AddedVertices
-	}
-	tr.Finish("http.mutate",
+	}, rec.log...)...)
+	tr.Finish("http.mutate", append([]obs.Attr{
 		obs.Str("graph", ent.Name),
 		obs.Str("outcome", "ok"),
 		obs.Int("mutations", int64(len(muts))),
-		obs.Int("epoch", int64(com.Epoch)),
-		obs.Int("first_seq", int64(com.FirstSeq)),
-		obs.Int("last_seq", int64(com.LastSeq)),
-		obs.Int("deltas", int64(com.Deltas)))
-	writeJSON(w, http.StatusOK, doc)
+	}, rec.trace...)...)
+	rec.summary["applied"] = len(muts)
+	rec.summary["trace_id"] = tr.ID
+	writeJSON(w, http.StatusOK, rec.summary)
 }
 
 // handleSubscribe registers a continuous query and streams its delta

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -8,18 +9,21 @@ import (
 	"csce/internal/prefilter"
 )
 
-// phase names index the per-phase latency histograms: the four stages a
-// query passes through on its way out of the daemon.
+// phase names index the per-phase latency histograms: the stages a query
+// passes through on its way out of the daemon. Each has one meaning
+// everywhere it is reported — the summary, the log line, the spans and the
+// *_micros counters.
 const (
 	phaseAdmission = "admission" // waiting for a match slot
-	phasePlan      = "plan"      // plan-cache lookup + GCF/DAG/LDSF on miss
-	phaseExec      = "exec"      // backtracking search (minus streaming writes)
+	phaseRead      = "read"      // CCSR cluster read (0 sharded: each shard reads inside its scatter)
+	phasePlan      = "plan"      // plan-cache lookup + GCF/DAG/LDSF, or the twig decomposition
+	phaseExec      = "exec"      // the search, minus read, plan and stream writes
 	phaseStream    = "stream"    // writing NDJSON embedding lines to the client
 	phaseTotal     = "total"     // end-to-end handler time
 )
 
 // metricsPhases lists the histogram keys in render order.
-var metricsPhases = []string{phaseAdmission, phasePlan, phaseExec, phaseStream, phaseTotal}
+var metricsPhases = []string{phaseAdmission, phaseRead, phasePlan, phaseExec, phaseStream, phaseTotal}
 
 // metricsEndpoints lists the instrumented HTTP endpoints. Every route in
 // Handler records its latency under one of these names.
@@ -97,8 +101,8 @@ type metrics struct {
 	embeddingsEmitted atomic.Uint64 // NDJSON embedding lines streamed
 	execSteps         atomic.Uint64 // candidate extensions across all queries
 	candidateReuses   atomic.Uint64 // SCE cache hits across all queries
-	execMicros        atomic.Uint64 // summed execution-stage wall time (µs)
-	planMicros        atomic.Uint64 // summed plan-stage wall time (µs); cache hits contribute ~0
+	execMicros        atomic.Uint64 // summed exec-phase time (µs)
+	planMicros        atomic.Uint64 // summed plan-phase time (µs); cache hits contribute ~0
 
 	// Scatter-gather volume (sharded graphs only). shardJoinCandidates is
 	// the join-explosion signal: hash-bucket entries probed while joining
@@ -202,52 +206,6 @@ func (m *metrics) recordPrefilterFalseAdmit(d prefilter.Decision) {
 	m.prefilter[fs[d.Checked-1]].falseAdmits.Add(1)
 }
 
-// prefilterDoc returns the per-filter admission counters, keyed for the
-// JSON /metrics document: prefilter_checks, prefilter_rejects, and
-// prefilter_false_admits each map filter name → count.
-func (m *metrics) prefilterDoc() (checks, rejects, falseAdmits map[string]uint64) {
-	n := len(m.prefilter)
-	checks = make(map[string]uint64, n)
-	rejects = make(map[string]uint64, n)
-	falseAdmits = make(map[string]uint64, n)
-	for f, c := range m.prefilter {
-		checks[string(f)] = c.checks.Load()
-		rejects[string(f)] = c.rejects.Load()
-		falseAdmits[string(f)] = c.falseAdmits.Load()
-	}
-	return checks, rejects, falseAdmits
-}
-
-// counterDoc returns the counter block of the /metrics document.
-func (m *metrics) counterDoc() map[string]any {
-	return map[string]any{
-		"queries_total":         m.queriesTotal.Load(),
-		"queries_ok":            m.queriesOK.Load(),
-		"queries_rejected":      m.queriesRejected.Load(),
-		"queries_cancelled":     m.queriesCancelled.Load(),
-		"queries_timed_out":     m.queriesTimedOut.Load(),
-		"queries_bad_request":   m.queriesBadRequest.Load(),
-		"queries_errored":       m.queriesErrored.Load(),
-		"slow_queries":          m.slowQueries.Load(),
-		"mutations_total":       m.mutationsTotal.Load(),
-		"mutations_ok":          m.mutationsOK.Load(),
-		"mutations_rejected":    m.mutationsRejected.Load(),
-		"mutations_failed":      m.mutationsFailed.Load(),
-		"mutations_bad":         m.mutationsBadRequest.Load(),
-		"subscriptions":         m.subscriptionsOpened.Load(),
-		"subscriptions_resumed": m.subscriptionsResumed.Load(),
-		"subscriptions_gone":    m.subscriptionsGone.Load(),
-		"embeddings_emitted":    m.embeddingsEmitted.Load(),
-		"exec_steps":            m.execSteps.Load(),
-		"candidate_reuses":      m.candidateReuses.Load(),
-		"exec_micros":           m.execMicros.Load(),
-		"plan_micros":           m.planMicros.Load(),
-		"shard_queries":         m.shardQueries.Load(),
-		"shard_partials":        m.shardPartials.Load(),
-		"shard_join_candidates": m.shardJoinCandidates.Load(),
-	}
-}
-
 // latencyDoc returns the histogram block: count/mean/p50/p90/p99/max per
 // phase, per endpoint, and per durable-WAL operation, all in milliseconds.
 func (m *metrics) latencyDoc() map[string]any {
@@ -273,4 +231,125 @@ func (m *metrics) latencyDoc() map[string]any {
 		"wal":       wal,
 		"shard":     shard,
 	}
+}
+
+// series is one scalar of the /metrics surface. Each is declared once, in
+// seriesTable, and both the JSON document and the Prometheus exposition
+// are rendered from that table.
+type series struct {
+	// key places the value in the JSON document; a dotted key puts it in a
+	// nested block ("runtime.goroutines").
+	key string
+	// prom is the Prometheus sample name after "csce_", labels included
+	// (`prefilter_checks{filter="wl1"}`); empty for a JSON-only field.
+	prom string
+	kind string // Prometheus TYPE: "counter" or "gauge"
+	// read returns the current value: a number, or a time.Duration, which
+	// JSON renders in milliseconds and Prometheus in seconds. A JSON-only
+	// field may hold anything encoding/json renders.
+	read func() any
+}
+
+// seriesTable declares every /metrics scalar of s. A block whose component
+// is not configured (trace ring, exporter, runtime collector) is left out
+// of both renderings rather than zeroed, so dashboards can tell "off" from
+// "idle".
+func (s *Server) seriesTable() []series {
+	m := s.metrics
+	counter := func(name string, v *atomic.Uint64) series {
+		return series{name, name, "counter", func() any { return v.Load() }}
+	}
+	gauge := func(name string, read func() any) series {
+		return series{name, name, "gauge", read}
+	}
+	t := []series{
+		counter("queries_total", &m.queriesTotal),
+		counter("queries_ok", &m.queriesOK),
+		counter("queries_rejected", &m.queriesRejected),
+		counter("queries_cancelled", &m.queriesCancelled),
+		counter("queries_timed_out", &m.queriesTimedOut),
+		counter("queries_bad_request", &m.queriesBadRequest),
+		counter("queries_errored", &m.queriesErrored),
+		counter("slow_queries", &m.slowQueries),
+		counter("mutations_total", &m.mutationsTotal),
+		counter("mutations_ok", &m.mutationsOK),
+		counter("mutations_rejected", &m.mutationsRejected),
+		counter("mutations_failed", &m.mutationsFailed),
+		counter("mutations_bad", &m.mutationsBadRequest),
+		counter("subscriptions", &m.subscriptionsOpened),
+		counter("subscriptions_resumed", &m.subscriptionsResumed),
+		counter("subscriptions_gone", &m.subscriptionsGone),
+		counter("embeddings_emitted", &m.embeddingsEmitted),
+		counter("exec_steps", &m.execSteps),
+		counter("candidate_reuses", &m.candidateReuses),
+		counter("exec_micros", &m.execMicros),
+		counter("plan_micros", &m.planMicros),
+		counter("shard_queries", &m.shardQueries),
+		counter("shard_partials", &m.shardPartials),
+		counter("shard_join_candidates", &m.shardJoinCandidates),
+		{"plan_cache_hits", "plan_cache_hits", "counter", func() any { return s.plans.Hits() }},
+		{"plan_cache_misses", "plan_cache_misses", "counter", func() any { return s.plans.Misses() }},
+		gauge("plan_cache_size", func() any { return s.plans.Len() }),
+		gauge("in_flight", func() any { return s.adm.inFlight() }),
+		gauge("queued", func() any { return s.adm.queued() }),
+		gauge("match_slots", func() any { return s.cfg.MatchSlots }),
+		gauge("queue_depth", func() any { return s.cfg.QueueDepth }),
+		gauge("mutate_in_flight", func() any { return s.mutAdm.inFlight() }),
+		gauge("mutate_queued", func() any { return s.mutAdm.queued() }),
+		gauge("mutate_slots", func() any { return s.cfg.MutateSlots }),
+		gauge("mutate_queue_depth", func() any { return s.cfg.MutateQueueDepth }),
+		gauge("graphs", func() any { return s.reg.Len() }),
+		gauge("slowlog_len", func() any { return s.slowlog.Len() }),
+		{"slow_query_threshold_ms", "slow_query_threshold_seconds", "gauge", func() any { return s.slowlog.Threshold() }},
+		gauge("uptime_seconds", func() any { return time.Since(s.started).Seconds() }),
+	}
+	// Admission pre-filter counters, one sample per cascade filter.
+	for _, fam := range []struct {
+		name string
+		get  func(c *prefilterCounters) *atomic.Uint64
+	}{
+		{"prefilter_checks", func(c *prefilterCounters) *atomic.Uint64 { return &c.checks }},
+		{"prefilter_rejects", func(c *prefilterCounters) *atomic.Uint64 { return &c.rejects }},
+		{"prefilter_false_admits", func(c *prefilterCounters) *atomic.Uint64 { return &c.falseAdmits }},
+	} {
+		for _, f := range prefilter.Filters() {
+			c := counter(fam.name, fam.get(m.prefilter[f]))
+			c.key = fam.name + "." + string(f)
+			c.prom = fmt.Sprintf("%s{filter=%q}", fam.name, f)
+			t = append(t, c)
+		}
+	}
+	if s.traceRing != nil {
+		t = append(t, gauge("trace_ring_len", func() any { return s.traceRing.Len() }))
+	}
+	// Trace-export self-telemetry: the span pipeline is as observable as
+	// the queries it describes.
+	if exp := s.exporter; exp != nil {
+		t = append(t,
+			series{"trace_export.format", "", "", func() any { return exp.Format().String() }},
+			series{"trace_export.endpoint", "", "", func() any { return exp.Endpoint() }},
+			series{"trace_export.queue_cap", "trace_export_queue_cap", "gauge", func() any { return exp.QueueCap() }},
+			series{"trace_export.queued", "trace_export_queued", "counter", func() any { return exp.Stats().Queued }},
+			series{"trace_export.sent", "trace_export_sent", "counter", func() any { return exp.Stats().Sent }},
+			series{"trace_export.dropped", "trace_export_dropped", "counter", func() any { return exp.Stats().Dropped }},
+			series{"trace_export.retries", "trace_export_retries", "counter", func() any { return exp.Stats().Retries }},
+		)
+	}
+	// Runtime gauges from the runtime/metrics collector, which samples once
+	// at construction, so Latest always has a sample here.
+	if rc := s.runtime; rc != nil {
+		rt := func(get func(st obs.RuntimeStats) any) func() any {
+			return func() any { st, _ := rc.Latest(); return get(st) }
+		}
+		ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+		t = append(t,
+			series{"runtime.goroutines", "goroutines", "gauge", rt(func(st obs.RuntimeStats) any { return st.Goroutines })},
+			series{"runtime.heap_bytes", "heap_bytes", "gauge", rt(func(st obs.RuntimeStats) any { return st.HeapBytes })},
+			series{"runtime.gc_cycles", "gc_cycles", "counter", rt(func(st obs.RuntimeStats) any { return st.GCCycles })},
+			series{"runtime.gc_pause_p50_ms", "gc_pause_p50_seconds", "gauge", rt(func(st obs.RuntimeStats) any { return ms(st.GCPauseP50) })},
+			series{"runtime.gc_pause_max_ms", "gc_pause_max_seconds", "gauge", rt(func(st obs.RuntimeStats) any { return ms(st.GCPauseMax) })},
+			series{"runtime.sampled_at", "", "", rt(func(st obs.RuntimeStats) any { return st.SampledAt })},
+		)
+	}
+	return t
 }

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"csce/internal/live"
 	"csce/internal/obs"
-	"csce/internal/prefilter"
 	"csce/internal/shard"
 )
 
@@ -36,63 +34,24 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 
-	// Monotonic counters, alphabetical for stable scrapes.
-	counters := s.metrics.counterDoc()
-	names := make([]string, 0, len(counters))
-	for k := range counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		promScalar(bw, "csce_"+k, "counter", counters[k])
-	}
-	promScalar(bw, "csce_plan_cache_hits", "counter", s.plans.hits.Load())
-	promScalar(bw, "csce_plan_cache_misses", "counter", s.plans.misses.Load())
-
-	// Admission pre-filter counters, one sample per cascade filter.
-	prefilterFamilies := []struct {
-		name string
-		get  func(c *prefilterCounters) uint64
-	}{
-		{"csce_prefilter_checks", func(c *prefilterCounters) uint64 { return c.checks.Load() }},
-		{"csce_prefilter_rejects", func(c *prefilterCounters) uint64 { return c.rejects.Load() }},
-		{"csce_prefilter_false_admits", func(c *prefilterCounters) uint64 { return c.falseAdmits.Load() }},
-	}
-	for _, fam := range prefilterFamilies {
-		fmt.Fprintf(bw, "# TYPE %s counter\n", fam.name)
-		for _, f := range prefilter.Filters() {
-			fmt.Fprintf(bw, "%s{filter=%q} %d\n", fam.name, string(f), fam.get(s.metrics.prefilter[f]))
-		}
-	}
-
-	// Point-in-time gauges.
-	promScalar(bw, "csce_in_flight", "gauge", s.adm.inFlight())
-	promScalar(bw, "csce_queued", "gauge", s.adm.queued())
-	promScalar(bw, "csce_match_slots", "gauge", s.cfg.MatchSlots)
-	promScalar(bw, "csce_queue_depth", "gauge", s.cfg.QueueDepth)
-	promScalar(bw, "csce_mutate_in_flight", "gauge", s.mutAdm.inFlight())
-	promScalar(bw, "csce_mutate_queued", "gauge", s.mutAdm.queued())
-	promScalar(bw, "csce_mutate_slots", "gauge", s.cfg.MutateSlots)
-	promScalar(bw, "csce_mutate_queue_depth", "gauge", s.cfg.MutateQueueDepth)
-	promScalar(bw, "csce_plan_cache_size", "gauge", s.plans.len())
-	promScalar(bw, "csce_graphs", "gauge", s.reg.Len())
-	promScalar(bw, "csce_slowlog_len", "gauge", s.slowlog.Len())
-	promScalar(bw, "csce_slow_query_threshold_seconds", "gauge", s.slowlog.Threshold().Seconds())
-	promScalar(bw, "csce_uptime_seconds", "gauge", time.Since(s.started).Seconds())
-
-	// Per-graph live-ingest series. Stats are snapshotted once per graph,
-	// then rendered one family at a time so each TYPE header appears once.
-	// Sharded graphs render separately below with a shard label.
-	entries := s.reg.List()
-	liveEntries := make([]*Entry, 0, len(entries))
-	liveStats := make(map[string]live.Stats, len(entries))
-	for _, e := range entries {
-		if e.Live == nil {
+	// The scalars of seriesTable, one TYPE line per family.
+	family := ""
+	for _, sr := range s.series {
+		if sr.prom == "" {
 			continue
 		}
-		liveEntries = append(liveEntries, e)
-		liveStats[e.Name] = e.Live.Stats()
+		if fam, _, _ := strings.Cut(sr.prom, "{"); fam != family {
+			family = fam
+			fmt.Fprintf(bw, "# TYPE csce_%s %s\n", fam, sr.kind)
+		}
+		fmt.Fprintf(bw, "csce_%s %s\n", sr.prom, promValue(sr.read()))
 	}
+
+	// Per-graph series. Stats are snapshotted once per graph, then rendered
+	// one family at a time so each TYPE header appears once; sharded graphs
+	// carry a shard label instead of appearing in the live families.
+	entries := s.reg.List()
+	liveStats, coordStats := s.liveDoc(), s.shardDoc()
 	liveFamilies := []struct {
 		name string
 		typ  string
@@ -127,22 +86,14 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	}
 	for _, fam := range liveFamilies {
 		fmt.Fprintf(bw, "# TYPE %s %s\n", fam.name, fam.typ)
-		for _, e := range liveEntries {
-			fmt.Fprintf(bw, "%s{graph=%q} %s\n", fam.name, e.Name, promFloat(fam.val(liveStats[e.Name])))
+		for _, e := range entries {
+			if st, ok := liveStats[e.Name]; ok {
+				fmt.Fprintf(bw, "%s{graph=%q} %s\n", fam.name, e.Name, promFloat(fam.val(st)))
+			}
 		}
 	}
 
-	// Per-shard series for sharded graphs: one sample per (graph, shard).
-	shardStats := make(map[string][]shard.Stats)
-	shardNames := make([]string, 0)
-	for _, e := range entries {
-		if e.Sharded == nil {
-			continue
-		}
-		shardStats[e.Name] = e.Sharded.ShardStats()
-		shardNames = append(shardNames, e.Name)
-	}
-	if len(shardNames) > 0 {
+	if len(coordStats) > 0 {
 		shardFamilies := []struct {
 			name string
 			typ  string
@@ -159,38 +110,20 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 		}
 		for _, fam := range shardFamilies {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", fam.name, fam.typ)
-			for _, name := range shardNames {
-				for _, st := range shardStats[name] {
+			for _, e := range entries {
+				for _, st := range coordStats[e.Name].Shards {
 					fmt.Fprintf(bw, "%s{graph=%q,shard=\"%d\"} %s\n",
-						fam.name, name, st.ID, promFloat(fam.val(st)))
+						fam.name, e.Name, st.ID, promFloat(fam.val(st)))
 				}
 			}
 		}
 	}
 
-	// Trace-export self-telemetry: the span pipeline is as observable as
-	// the queries it describes.
 	if s.exporter != nil {
-		st := s.exporter.Stats()
-		promScalar(bw, "csce_trace_export_queued", "counter", st.Queued)
-		promScalar(bw, "csce_trace_export_sent", "counter", st.Sent)
-		promScalar(bw, "csce_trace_export_dropped", "counter", st.Dropped)
-		promScalar(bw, "csce_trace_export_retries", "counter", st.Retries)
-		promScalar(bw, "csce_trace_export_queue_cap", "gauge", s.exporter.QueueCap())
-		promHistSnapshot(bw, "csce_trace_export_latency_seconds", "format",
+		// The exporter owns its histogram; only a snapshot crosses over.
+		fmt.Fprint(bw, "# TYPE csce_trace_export_latency_seconds histogram\n")
+		promHist(bw, "csce_trace_export_latency_seconds", "format",
 			s.exporter.Format().String(), s.exporter.Latency())
-	}
-	if s.traceRing != nil {
-		promScalar(bw, "csce_trace_ring_len", "gauge", s.traceRing.Len())
-	}
-
-	// Runtime-stats gauges from the runtime/metrics collector.
-	if rt, ok := s.runtime.Latest(); ok {
-		promScalar(bw, "csce_goroutines", "gauge", rt.Goroutines)
-		promScalar(bw, "csce_heap_bytes", "gauge", rt.HeapBytes)
-		promScalar(bw, "csce_gc_cycles", "counter", rt.GCCycles)
-		promScalar(bw, "csce_gc_pause_p50_seconds", "gauge", rt.GCPauseP50/1e3)
-		promScalar(bw, "csce_gc_pause_max_seconds", "gauge", rt.GCPauseMax/1e3)
 	}
 
 	// Latency histograms.
@@ -198,11 +131,6 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	promHistFamily(bw, "csce_endpoint_latency_seconds", "endpoint", metricsEndpoints, s.metrics.endpoints)
 	promHistFamily(bw, "csce_wal_latency_seconds", "op", metricsWALOps, s.metrics.wal)
 	promHistFamily(bw, "csce_shard_latency_seconds", "stage", metricsShardStages, s.metrics.shard)
-}
-
-// promScalar writes one unlabeled sample with its TYPE header.
-func promScalar(w io.Writer, name, typ string, v any) {
-	fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, typ, name, promValue(v))
 }
 
 // promValue renders a numeric value without float artifacts for integers.
@@ -216,6 +144,8 @@ func promValue(v any) string {
 		return strconv.Itoa(x)
 	case float64:
 		return promFloat(x)
+	case time.Duration:
+		return promFloat(x.Seconds())
 	default:
 		return fmt.Sprintf("%v", v)
 	}
@@ -223,11 +153,17 @@ func promValue(v any) string {
 
 func promFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// promHistSnapshot writes one single-member histogram family from an
-// already-taken snapshot (the exporter owns its histogram; only snapshots
-// cross the package boundary).
-func promHistSnapshot(w io.Writer, name, label, key string, snap obs.HistogramSnapshot) {
+// promHistFamily writes one histogram family with a label per member.
+func promHistFamily(w io.Writer, name, label string, order []string, hists map[string]*obs.Histogram) {
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	for _, key := range order {
+		promHist(w, name, label, key, hists[key].Snapshot())
+	}
+}
+
+// promHist writes one member of a histogram family: cumulative _bucket
+// series (le in seconds, closing with +Inf), _sum in seconds, and _count.
+func promHist(w io.Writer, name, label, key string, snap obs.HistogramSnapshot) {
 	uppers, cum := snap.PromBuckets()
 	for i, le := range uppers {
 		fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, key, promFloat(le), cum[i])
@@ -235,25 +171,4 @@ func promHistSnapshot(w io.Writer, name, label, key string, snap obs.HistogramSn
 	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, key, snap.Count)
 	fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", name, label, key, promFloat(snap.SumSeconds()))
 	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, key, snap.Count)
-}
-
-// promHistFamily writes one histogram family with a label per member:
-// cumulative _bucket series (le in seconds, closing with +Inf), _sum in
-// seconds, and _count.
-func promHistFamily(w io.Writer, name, label string, order []string, hists map[string]*obs.Histogram) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for _, key := range order {
-		h := hists[key]
-		if h == nil {
-			continue
-		}
-		snap := h.Snapshot()
-		uppers, cum := snap.PromBuckets()
-		for i, le := range uppers {
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, key, promFloat(le), cum[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, key, snap.Count)
-		fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", name, label, key, promFloat(snap.SumSeconds()))
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, key, snap.Count)
-	}
 }

@@ -35,16 +35,6 @@ type Entry struct {
 // Queries returns how many match queries this graph has served.
 func (e *Entry) Queries() uint64 { return e.queries.Load() }
 
-// Epoch returns the currently published snapshot epoch (0 until the first
-// mutation commits). A sharded graph has no single epoch — see
-// Sharded.EpochVector — so this reports 0.
-func (e *Entry) Epoch() uint64 {
-	if e.Live == nil {
-		return 0
-	}
-	return e.Live.Epoch()
-}
-
 // Counts reads the current snapshot's sizes. They move with mutations, so
 // callers get point-in-time values, not registration-time ones. Sharded
 // graphs report logical totals (boundary replicas de-duplicated) and no

@@ -25,25 +25,24 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"csce/internal/core"
 	"csce/internal/exec"
 	"csce/internal/graph"
 	"csce/internal/live"
+	"csce/internal/lru"
 	"csce/internal/obs"
 	"csce/internal/obs/export"
 	"csce/internal/plan"
-	"csce/internal/prefilter"
 	"csce/internal/shard"
 )
 
@@ -208,8 +207,9 @@ type Server struct {
 	reg      *Registry
 	adm      *admission
 	mutAdm   *admission // separate valve: mutation storms must not starve reads
-	plans    *planCache
+	plans    *lru.Cache[*plan.Plan]
 	metrics  *metrics
+	series   []series // every /metrics scalar, for both renderings
 	slowlog  *obs.SlowLog
 	log      *slog.Logger
 	started  time.Time
@@ -237,7 +237,7 @@ func New(cfg Config) *Server {
 		reg:     NewRegistry(),
 		adm:     newAdmission(cfg.MatchSlots, cfg.QueueDepth),
 		mutAdm:  newAdmission(cfg.MutateSlots, cfg.MutateQueueDepth),
-		plans:   newPlanCache(cfg.PlanCacheSize),
+		plans:   lru.New[*plan.Plan](cfg.PlanCacheSize),
 		metrics: newMetrics(),
 		slowlog: obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowQueryThreshold),
 		log:     cfg.Logger,
@@ -251,6 +251,7 @@ func New(cfg Config) *Server {
 		s.runtime = obs.NewRuntimeCollector(cfg.RuntimeStatsInterval)
 	}
 	s.sink = traceSink{ring: s.traceRing, exp: s.exporter}
+	s.series = s.seriesTable()
 	s.reg.LiveOpts = live.Options{
 		SubscriberBuffer: cfg.SubscriberBuffer,
 		WALRetention:     cfg.WALRetention,
@@ -456,364 +457,9 @@ func (s *Server) parsePattern(r *http.Request, w http.ResponseWriter, ent *Entry
 	return graph.ParseWith(http.MaxBytesReader(w, r.Body, s.cfg.MaxPatternBytes), names)
 }
 
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	// Every query gets a trace the moment it reaches the handler. The ID
-	// goes out in the response header immediately (even for rejections),
-	// into every structured log line, into the NDJSON summary, and into
-	// the slow-query log — one grep correlates all four.
-	start := time.Now()
-	tr := s.newTrace()
-	w.Header().Set("X-Trace-Id", string(tr.ID))
-	rctx := obs.WithTrace(r.Context(), tr)
-	defer func() { s.metrics.recordPhase(phaseTotal, time.Since(start)) }()
-
-	s.metrics.queriesTotal.Add(1)
-	name := r.PathValue("name")
-	ent, ok := s.reg.Get(name)
-	if !ok {
-		s.metrics.queriesBadRequest.Add(1)
-		jsonError(w, http.StatusNotFound, fmt.Sprintf("unknown graph %q", name))
-		return
-	}
-	params, err := s.parseMatchParams(r)
-	if err != nil {
-		s.metrics.queriesBadRequest.Add(1)
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	p, err := s.parsePattern(r, w, ent)
-	if err != nil {
-		s.metrics.queriesBadRequest.Add(1)
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parse pattern: %v", err))
-		return
-	}
-	if p.Directed() != ent.Directed {
-		s.metrics.queriesBadRequest.Add(1)
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("pattern directedness does not match graph %q", ent.Name))
-		return
-	}
-
-	// Phase 0: admission pre-filter. An O(pattern) probe of the graph's
-	// incrementally-maintained signature runs before the slot wait, the
-	// snapshot pin, and the plan-cache lookup, so a provably-empty query
-	// costs none of them — it returns a normal 200 summary with a zero
-	// count and the rejecting filter's name. Sharded vertex-induced
-	// queries skip the check to preserve the coordinator's 422 contract
-	// (unsupported variant beats "no results").
-	var pre prefilter.Decision
-	preChecked := false
-	if !s.cfg.DisablePrefilter && !(ent.Sharded != nil && params.variant == graph.VertexInduced) {
-		endCheck := tr.StartSpan("prefilter.check")
-		if ent.Sharded != nil {
-			pre = ent.Sharded.PrefilterCheck(p, params.variant)
-		} else {
-			pre = ent.Live.Prefilter().Check(p, params.variant)
-		}
-		preChecked = true
-		s.metrics.recordPrefilterCheck(pre)
-		if !pre.Admit {
-			reason := pre.Reason(ent.Names)
-			endCheck(obs.Str("decision", "reject"),
-				obs.Str("filter", string(pre.Filter)),
-				obs.Str("reason", reason))
-			s.writePrefilterReject(w, start, tr, ent, pre, reason)
-			return
-		}
-		endCheck(obs.Str("decision", "admit"),
-			obs.Int("filters_checked", int64(pre.Checked)))
-	}
-
-	// Phase 1: admission. The wait for a slot is recorded whether the
-	// query is admitted, rejected, or abandoned — queueing delay under
-	// overload is exactly what the histogram must show.
-	endAdmission := tr.StartSpan(phaseAdmission)
-	admStart := time.Now()
-	admErr := s.adm.admit(rctx)
-	s.metrics.recordPhase(phaseAdmission, time.Since(admStart))
-	endAdmission()
-	if admErr != nil {
-		if errors.Is(admErr, ErrQueueFull) {
-			s.metrics.queriesRejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			jsonError(w, http.StatusTooManyRequests, "match queue full, retry later")
-			s.log.Warn("query rejected", "trace_id", tr.ID, "graph", ent.Name, "reason", "queue full")
-			return
-		}
-		// The client went away while queued; nobody is reading the reply.
-		s.metrics.queriesCancelled.Add(1)
-		jsonError(w, http.StatusServiceUnavailable, "cancelled while queued")
-		return
-	}
-	defer s.adm.release()
-	ent.queries.Add(1)
-
-	if ent.Sharded != nil {
-		s.matchSharded(w, r, shardedMatchArgs{
-			start: start, tr: tr, rctx: rctx, ent: ent, params: params, pattern: p,
-			pre: pre, preChecked: preChecked,
-		})
-		return
-	}
-
-	// Pin the current snapshot for the whole query: concurrent mutation
-	// batches publish new epochs without touching it, and it is released
-	// (possibly draining it) when the handler returns.
-	snap := ent.Live.Acquire()
-	defer snap.Release()
-	eng := snap.Engine()
-
-	// Phase 2: planning. The cache hit path contributes ~0; misses pay
-	// GCF/DAG/LDSF. The key carries the snapshot epoch, so plans optimized
-	// against superseded statistics age out of the LRU instead of serving
-	// forever.
-	endPlan := tr.StartSpan(phasePlan)
-	planStart := time.Now()
-	key := planKey(ent.Name, snap.Epoch(), params.variant, params.mode, p)
-	pl, cacheHit := s.plans.get(key)
-	if !cacheHit {
-		pl, err = plan.Optimize(p, eng.Store(), params.variant, params.mode)
-		if err != nil {
-			endPlan()
-			s.metrics.queriesBadRequest.Add(1)
-			jsonError(w, http.StatusUnprocessableEntity, fmt.Sprintf("optimize: %v", err))
-			return
-		}
-		s.plans.put(key, pl)
-	}
-	planDur := time.Since(planStart)
-	s.metrics.recordPhase(phasePlan, planDur)
-	s.metrics.planMicros.Add(uint64(planDur.Microseconds()))
-	endPlan(obs.Str("cache", cacheOutcome(cacheHit)),
-		obs.Int("sce_vertices", int64(pl.SCE.SCEVertices)),
-		obs.Int("order_length", int64(len(pl.Order))))
-
-	ctx, cancel := context.WithTimeout(rctx, params.timeout)
-	defer cancel()
-
-	stream := newMatchStream(w)
-	defer stream.end()
-
-	// Phases 3+4: execution and streaming. The engine interleaves them
-	// (embeddings stream from inside the search loop), so the exec phase
-	// is the engine wall time minus the accumulated write time.
-	execSpanStart := time.Since(tr.Begin)
-	matchStart := time.Now()
-	res, matchErr := eng.Match(p, core.MatchOptions{
-		Variant:      params.variant,
-		Mode:         params.mode,
-		Limit:        params.limit,
-		Workers:      params.workers,
-		Context:      ctx,
-		PreparedPlan: pl,
-		OnEmbedding:  stream.embedding,
-		// Always profile: the slow-query log must have the per-level
-		// breakdown for queries that only reveal themselves as pathological
-		// after the fact. Costs a few counter increments per step.
-		Profile: true,
-	})
-	emitted, streamDur, streamDead := stream.end()
-	matchWall := time.Since(matchStart)
-	execDur := matchWall - streamDur
-	if execDur < 0 {
-		execDur = 0
-	}
-	execSpanEnd := time.Since(tr.Begin)
-	tr.AddSpan(phaseExec, execSpanStart, execSpanEnd-streamDur,
-		obs.Int("steps", int64(res.Exec.Steps)),
-		obs.Int("candidate_reuses", int64(res.Exec.CandidateReuses)))
-	tr.AddSpan(phaseStream, execSpanEnd-streamDur, execSpanEnd,
-		obs.Int("embeddings", int64(emitted)))
-	s.metrics.recordPhase(phaseExec, execDur)
-	s.metrics.recordPhase(phaseStream, streamDur)
-	s.metrics.embeddingsEmitted.Add(emitted)
-	s.metrics.execSteps.Add(res.Exec.Steps)
-	s.metrics.candidateReuses.Add(res.Exec.CandidateReuses)
-	s.metrics.execMicros.Add(uint64(res.ExecTime.Microseconds()))
-
-	// Classify the outcome. A context error surfaced as matchErr means the
-	// deadline or disconnect hit before execution started; mid-search
-	// cancellation is reported through Exec.Cancelled with a nil error.
-	timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)
-	cancelled := res.Exec.Cancelled || errors.Is(matchErr, context.Canceled) ||
-		errors.Is(matchErr, context.DeadlineExceeded) || streamDead
-	if matchErr != nil && !cancelled {
-		s.metrics.queriesErrored.Add(1)
-		jsonError(w, http.StatusInternalServerError, fmt.Sprintf("match: %v", matchErr))
-		s.log.Error("query failed", "trace_id", tr.ID, "graph", ent.Name, "error", matchErr)
-		tr.Finish("http.match", obs.Str("graph", ent.Name), obs.Str("outcome", "error"),
-			obs.Str("error", matchErr.Error()))
-		return
-	}
-	outcome := s.recordOutcome(timedOut, streamDead, cancelled)
-	if preChecked && outcome == "ok" && res.Embeddings == 0 {
-		// The cascade admitted a query the executor proved empty: a false
-		// admit, charged to the deepest filter that looked at it.
-		s.metrics.recordPrefilterFalseAdmit(pre)
-	}
-
-	total := time.Since(start)
-	s.log.Info("query",
-		"trace_id", tr.ID,
-		"graph", ent.Name,
-		"outcome", outcome,
-		"embeddings", res.Embeddings,
-		"steps", res.Exec.Steps,
-		"plan_cache", cacheOutcome(cacheHit),
-		"total_ms", durMs(total),
-		"admission_ms", durMs(phaseDuration(tr, phaseAdmission)),
-		"plan_ms", durMs(planDur),
-		"exec_ms", durMs(execDur),
-		"stream_ms", durMs(streamDur),
-	)
-	// Finish the trace: the root span covers the whole request and carries
-	// the query's headline facts; the FinishedTrace flows to the ring and
-	// the exporter queue via the server sink.
-	ft, exported := tr.Finish("http.match",
-		obs.Str("graph", ent.Name),
-		obs.Str("outcome", outcome),
-		obs.Str("plan_cache", cacheOutcome(cacheHit)),
-		obs.Int("epoch", int64(snap.Epoch())),
-		obs.Int("embeddings", int64(res.Embeddings)),
-		obs.Int("steps", int64(res.Exec.Steps)))
-	if s.slowlog.Qualifies(total) {
-		s.metrics.slowQueries.Add(1)
-		s.slowlog.Add(obs.SlowRecord{
-			TraceID:  tr.ID,
-			Start:    start,
-			Duration: total,
-			Graph:    ent.Name,
-			Outcome:  outcome,
-			Spans:    ft.Spans,
-			Exported: exported,
-			TraceURL: traceURL(tr.ID),
-			Detail:   slowDetail(p, params, pl, res, cacheHit),
-		})
-		s.log.Warn("slow query captured",
-			"trace_id", tr.ID, "graph", ent.Name, "total_ms", durMs(total),
-			"threshold_ms", durMs(s.slowlog.Threshold()))
-	}
-
-	summary := map[string]any{
-		"done":             true,
-		"trace_id":         tr.ID,
-		"graph":            ent.Name,
-		"embeddings":       res.Embeddings,
-		"limit":            params.limit,
-		"limit_hit":        res.Exec.LimitHit,
-		"cancelled":        cancelled,
-		"timed_out":        timedOut,
-		"plan_cache":       cacheOutcome(cacheHit),
-		"read_ms":          float64(res.ReadTime.Microseconds()) / 1e3,
-		"plan_ms":          float64(res.PlanTime.Microseconds()) / 1e3,
-		"exec_ms":          float64(res.ExecTime.Microseconds()) / 1e3,
-		"steps":            res.Exec.Steps,
-		"candidate_reuses": res.Exec.CandidateReuses,
-	}
-	if params.profile {
-		// EXPLAIN ANALYZE for CSCE: the per-level profile plus the phase
-		// spans, inline in the summary line.
-		summary["profile"] = profileDoc(res.Profile)
-		summary["spans"] = tr.SpanDoc()
-	}
-	stream.summary(summary)
-}
-
-// recordOutcome names how a match that did not error ended and counts it.
-func (s *Server) recordOutcome(timedOut, streamDead, cancelled bool) string {
-	switch {
-	case timedOut:
-		s.metrics.queriesTimedOut.Add(1)
-		return "timeout"
-	case streamDead:
-		s.metrics.queriesCancelled.Add(1)
-		return "disconnect"
-	case cancelled:
-		s.metrics.queriesCancelled.Add(1)
-		return "cancelled"
-	}
-	s.metrics.queriesOK.Add(1)
-	return "ok"
-}
-
-// writePrefilterReject finishes a query the admission cascade proved
-// empty: a normal 200 NDJSON summary with a zero count and the rejecting
-// filter — never a silent empty result — plus the same log line, trace
-// finish, and slow-query capture an executed query would get.
-func (s *Server) writePrefilterReject(w http.ResponseWriter, start time.Time, tr *obs.Trace,
-	ent *Entry, d prefilter.Decision, reason string) {
-	s.metrics.queriesOK.Add(1)
-	total := time.Since(start)
-	s.log.Info("query",
-		"trace_id", tr.ID,
-		"graph", ent.Name,
-		"outcome", "rejected",
-		"rejected_by", string(d.Filter),
-		"reason", reason,
-		"embeddings", 0,
-		"total_ms", durMs(total),
-	)
-	ft, exported := tr.Finish("http.match",
-		obs.Str("graph", ent.Name),
-		obs.Str("outcome", "rejected"),
-		obs.Str("rejected_by", string(d.Filter)),
-		obs.Str("reason", reason),
-		obs.Int("embeddings", 0))
-	if s.slowlog.Qualifies(total) {
-		s.metrics.slowQueries.Add(1)
-		s.slowlog.Add(obs.SlowRecord{
-			TraceID:  tr.ID,
-			Start:    start,
-			Duration: total,
-			Graph:    ent.Name,
-			Outcome:  "rejected",
-			Spans:    ft.Spans,
-			Exported: exported,
-			TraceURL: traceURL(tr.ID),
-			Detail:   map[string]any{"rejected_by": string(d.Filter), "reason": reason},
-		})
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	summary := map[string]any{
-		"done":        true,
-		"trace_id":    tr.ID,
-		"graph":       ent.Name,
-		"count":       0,
-		"embeddings":  0,
-		"rejected_by": string(d.Filter),
-		"reason":      reason,
-		"cancelled":   false,
-		"timed_out":   false,
-	}
-	if ent.Sharded != nil {
-		summary["sharded"] = true
-		summary["shards"] = ent.Sharded.K()
-	}
-	line, _ := json.Marshal(summary)
-	_, _ = w.Write(append(line, '\n'))
-}
-
-// cacheOutcome renders a plan-cache lookup result for summaries and logs.
-func cacheOutcome(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
 // durMs rounds a duration to milliseconds with µs precision for JSON/log
 // output.
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-
-// phaseDuration returns the recorded duration of the named span (0 when
-// the phase never ran).
-func phaseDuration(tr *obs.Trace, name string) time.Duration {
-	for _, sp := range tr.Spans() {
-		if sp.Name == name {
-			return sp.Duration()
-		}
-	}
-	return 0
-}
 
 // profileDoc renders a per-level execution profile as JSON-ready rows.
 func profileDoc(p *exec.Profile) []map[string]any {
@@ -834,41 +480,6 @@ func profileDoc(p *exec.Profile) []map[string]any {
 		})
 	}
 	return rows
-}
-
-// slowDetail composes the slow-query record payload: what ran (pattern and
-// parameters), the plan's SCE summary, and where the time went per level.
-func slowDetail(p *graph.Graph, params matchParams, pl *plan.Plan, res core.MatchResult, cacheHit bool) map[string]any {
-	detail := map[string]any{
-		"pattern": map[string]any{
-			"vertices": p.NumVertices(),
-			"edges":    p.NumEdges(),
-		},
-		"params": map[string]any{
-			"variant": params.variant.String(),
-			"mode":    params.mode.String(),
-			"limit":   params.limit,
-			"workers": params.workers,
-		},
-		"plan_cache":       cacheOutcome(cacheHit),
-		"embeddings":       res.Embeddings,
-		"steps":            res.Exec.Steps,
-		"candidate_builds": res.Exec.CandidateBuilds,
-		"candidate_reuses": res.Exec.CandidateReuses,
-		"clusters_read":    res.ClustersRead,
-	}
-	if pl != nil {
-		detail["plan"] = map[string]any{
-			"order_length":      len(pl.Order),
-			"sce_vertices":      pl.SCE.SCEVertices,
-			"independent_pairs": pl.SCE.IndependentPairs,
-			"total_pairs":       pl.SCE.TotalPairs,
-		}
-	}
-	if prof := profileDoc(res.Profile); prof != nil {
-		detail["profile"] = prof
-	}
-	return detail
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
@@ -916,7 +527,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the whole observability surface as one JSON
-// document: monotonic counters and point-in-time gauges at the top level
+// document: the scalars of seriesTable at the top level or in their blocks
 // (the schema prior dashboards scrape), with the latency histograms nested
 // under "latency" (per-phase and per-endpoint quantiles in milliseconds)
 // and per-graph live-ingest stats under "live". With ?format=prom or an
@@ -927,38 +538,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeProm(w)
 		return
 	}
-	doc := s.metrics.counterDoc()
-	pfChecks, pfRejects, pfFalse := s.metrics.prefilterDoc()
-	doc["prefilter_checks"] = pfChecks
-	doc["prefilter_rejects"] = pfRejects
-	doc["prefilter_false_admits"] = pfFalse
-	doc["plan_cache_size"] = s.plans.len()
-	doc["plan_cache_hits"] = s.plans.hits.Load()
-	doc["plan_cache_misses"] = s.plans.misses.Load()
-	doc["in_flight"] = s.adm.inFlight()
-	doc["queued"] = s.adm.queued()
-	doc["match_slots"] = s.cfg.MatchSlots
-	doc["queue_depth"] = s.cfg.QueueDepth
-	doc["mutate_in_flight"] = s.mutAdm.inFlight()
-	doc["mutate_queued"] = s.mutAdm.queued()
-	doc["mutate_slots"] = s.cfg.MutateSlots
-	doc["mutate_queue_depth"] = s.cfg.MutateQueueDepth
-	doc["graphs"] = s.reg.Len()
+	doc := map[string]any{}
+	for _, sr := range s.series {
+		v := sr.read()
+		if d, ok := v.(time.Duration); ok {
+			v = durMs(d)
+		}
+		if block, field, nested := strings.Cut(sr.key, "."); nested {
+			sub, _ := doc[block].(map[string]any)
+			if sub == nil {
+				sub = map[string]any{}
+				doc[block] = sub
+			}
+			sub[field] = v
+		} else {
+			doc[sr.key] = v
+		}
+	}
 	doc["live"] = s.liveDoc()
 	if sd := s.shardDoc(); len(sd) > 0 {
 		doc["shard"] = sd
-	}
-	doc["uptime_seconds"] = time.Since(s.started).Seconds()
-	doc["slow_query_threshold_ms"] = durMs(s.slowlog.Threshold())
-	doc["slowlog_len"] = s.slowlog.Len()
-	if s.traceRing != nil {
-		doc["trace_ring_len"] = s.traceRing.Len()
-	}
-	if ed := s.exportDoc(); ed != nil {
-		doc["trace_export"] = ed
-	}
-	if rd := s.runtimeDoc(); rd != nil {
-		doc["runtime"] = rd
 	}
 	latency := s.metrics.latencyDoc()
 	if s.exporter != nil {

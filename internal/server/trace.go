@@ -43,43 +43,6 @@ func (s *Server) newTrace() *obs.Trace {
 // records to close the slow-query → full-trace loop.
 func traceURL(id obs.TraceID) string { return "/debug/trace/" + string(id) }
 
-// exportDoc renders the trace-export self-telemetry block of /metrics:
-// the queued/sent/dropped/retries counters plus the POST latency
-// histogram. Nil when no exporter is configured (the block is absent, not
-// zeroed, so dashboards can tell "off" from "idle").
-func (s *Server) exportDoc() map[string]any {
-	if s.exporter == nil {
-		return nil
-	}
-	st := s.exporter.Stats()
-	return map[string]any{
-		"format":    s.exporter.Format().String(),
-		"endpoint":  s.exporter.Endpoint(),
-		"queue_cap": s.exporter.QueueCap(),
-		"queued":    st.Queued,
-		"sent":      st.Sent,
-		"dropped":   st.Dropped,
-		"retries":   st.Retries,
-	}
-}
-
-// runtimeDoc renders the runtime-stats gauge block of /metrics. Nil when
-// the collector is disabled.
-func (s *Server) runtimeDoc() map[string]any {
-	st, ok := s.runtime.Latest()
-	if !ok {
-		return nil
-	}
-	return map[string]any{
-		"goroutines":      st.Goroutines,
-		"heap_bytes":      st.HeapBytes,
-		"gc_cycles":       st.GCCycles,
-		"gc_pause_p50_ms": st.GCPauseP50,
-		"gc_pause_max_ms": st.GCPauseMax,
-		"sampled_at":      st.SampledAt,
-	}
-}
-
 // handleDebugTrace serves one retained trace as a span tree:
 // GET /debug/trace/{id}. 404s cover both "never existed" and "evicted
 // from the ring" — the ring is fixed-size by design.

@@ -13,6 +13,7 @@ import (
 	"csce/internal/core"
 	"csce/internal/graph"
 	"csce/internal/live"
+	"csce/internal/lru"
 	"csce/internal/obs"
 	"csce/internal/plan"
 	"csce/internal/prefilter"
@@ -80,7 +81,7 @@ type Coordinator struct {
 	own *ownership
 	vmu sync.RWMutex
 
-	decomp *decompCache
+	decomp *lru.Cache[*Decomposition]
 
 	// statsMu guards the per-shard stats cache, keyed by shard epoch —
 	// the GraphMini-style candidate summaries the decomposer reads.
@@ -125,7 +126,7 @@ func Open(name string, base *ccsr.Store, opts Options) (*Coordinator, error) {
 		names:    base.Names(),
 		obsv:     opts.Observer,
 		own:      &ownership{},
-		decomp:   newDecompCache(opts.PlanCacheSize),
+		decomp:   lru.New[*Decomposition](opts.PlanCacheSize),
 	}
 	owners := make([]uint16, base.NumVertices())
 	for v := range owners {
@@ -326,17 +327,12 @@ func (c *Coordinator) PrefilterCheck(p *graph.Graph, variant graph.Variant) pref
 	return prefilter.CheckMany(c.sigs, p, variant)
 }
 
-// CacheStats reports the decomposition cache's counters.
-func (c *Coordinator) CacheStats() (size int, hits, misses uint64) {
-	return c.decomp.len(), c.decomp.hits.Load(), c.decomp.misses.Load()
-}
-
 // CoordStats is the coordinator-level stats document.
 type CoordStats struct {
-	K              int     `json:"k"`
-	Scheme         string  `json:"scheme"`
-	Vertices       int     `json:"vertices"`
-	Edges          int     `json:"edges"`
+	K                int    `json:"k"`
+	Scheme           string `json:"scheme"`
+	Vertices         int    `json:"vertices"`
+	Edges            int    `json:"edges"`
 	Matches          uint64 `json:"matches"`
 	PrefilterRejects uint64 `json:"prefilter_rejects"`
 
@@ -353,22 +349,21 @@ type CoordStats struct {
 // Stats returns the coordinator document, including per-shard stats.
 func (c *Coordinator) Stats() CoordStats {
 	v, e := c.Counts()
-	size, hits, misses := c.CacheStats()
 	return CoordStats{
-		K:              c.k,
-		Scheme:         c.scheme.String(),
-		Vertices:       v,
-		Edges:          e,
+		K:                c.k,
+		Scheme:           c.scheme.String(),
+		Vertices:         v,
+		Edges:            e,
 		Matches:          c.matches.Load(),
 		PrefilterRejects: c.prefilterRejects.Load(),
 		Partials:         c.partials.Load(),
-		JoinCandidates: c.joinCandidates.Load(),
-		MutationOK:     c.mutBatches.Load(),
-		MutationFailed: c.mutFailed.Load(),
-		DecompHits:     hits,
-		DecompMisses:   misses,
-		DecompSize:     size,
-		Shards:         c.ShardStats(),
+		JoinCandidates:   c.joinCandidates.Load(),
+		MutationOK:       c.mutBatches.Load(),
+		MutationFailed:   c.mutFailed.Load(),
+		DecompHits:       c.decomp.Hits(),
+		DecompMisses:     c.decomp.Misses(),
+		DecompSize:       c.decomp.Len(),
+		Shards:           c.ShardStats(),
 	}
 }
 
@@ -417,13 +412,16 @@ type MatchResult struct {
 	// DecompCacheHit reports whether the twig decomposition came from the
 	// epoch-vector-keyed cache.
 	DecompCacheHit bool
+	// PlanTime covers the decomposition: the cache lookup, plus Decompose
+	// on a miss.
+	PlanTime time.Duration
 	// RejectedBy names the admission pre-filter that proved the pattern
 	// unmatchable before any decomposition or scatter ("" when the query
 	// was admitted); Reject carries the full decision for reporting.
-	RejectedBy prefilter.Filter
-	Reject     prefilter.Decision
-	ScatterTime    time.Duration
-	JoinTime       time.Duration
+	RejectedBy  prefilter.Filter
+	Reject      prefilter.Decision
+	ScatterTime time.Duration
+	JoinTime    time.Duration
 }
 
 // Match runs one pattern over all shards: decompose (cached by pattern +
@@ -465,8 +463,9 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	}
 
 	_, endDecomp := obs.StartSpanCtx(ctx, "shard.plan")
+	planStart := time.Now()
 	key := decompKey(opts.Variant, opts.Mode, c.EpochVector(), p)
-	dec, hit := c.decomp.get(key)
+	dec, hit := c.decomp.Get(key)
 	if !hit {
 		freq := c.aggregateLabelFreq()
 		var err error
@@ -475,15 +474,12 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 			endDecomp()
 			return res, err
 		}
-		c.decomp.put(key, dec)
+		c.decomp.Put(key, dec)
 	}
+	res.PlanTime = time.Since(planStart)
 	res.DecompCacheHit = hit
 	res.Twigs = len(dec.Twigs)
-	cached := "miss"
-	if hit {
-		cached = "hit"
-	}
-	endDecomp(obs.Int("twigs", int64(res.Twigs)), obs.Str("cache", cached))
+	endDecomp(obs.Int("twigs", int64(res.Twigs)), obs.Str("cache", lru.Outcome(hit)))
 
 	// Scatter: one MatchPartial per shard, all twigs against one pinned
 	// snapshot each, in parallel. Span nesting follows the fan-out: each

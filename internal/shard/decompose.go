@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"csce/internal/graph"
 )
@@ -143,32 +141,4 @@ func cloneVertices(p *graph.Graph, verts []graph.VertexID) *graph.Graph {
 		b.AddVertex(p.Label(v))
 	}
 	return b.MustBuild()
-}
-
-// patternSignature serializes a pattern's exact structure the way the
-// server plan cache does: directedness, vertex labels, and the labeled
-// edge list in deterministic adjacency order.
-func patternSignature(p *graph.Graph) string {
-	var b strings.Builder
-	b.Grow(16 + 8*p.NumVertices() + 12*p.NumEdges())
-	if p.Directed() {
-		b.WriteByte('d')
-	} else {
-		b.WriteByte('u')
-	}
-	b.WriteByte('|')
-	for v := 0; v < p.NumVertices(); v++ {
-		b.WriteString(strconv.Itoa(int(p.Label(graph.VertexID(v)))))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	p.Edges(func(src, dst graph.VertexID, el graph.EdgeLabel) {
-		b.WriteString(strconv.Itoa(int(src)))
-		b.WriteByte('-')
-		b.WriteString(strconv.Itoa(int(dst)))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(int(el)))
-		b.WriteByte(';')
-	})
-	return b.String()
 }
