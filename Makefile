@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race live-race crash-race shard-race prefilter-race vet lint alloc-gate docscheck bench-selftest fuzz-smoke ci bench-obs bench-serve bench-prefilter
+.PHONY: build test race vet lint docscheck bench-selftest fuzz-smoke ci bench-obs bench-serve bench-prefilter
 
 build:
 	$(GO) build ./...
@@ -9,74 +9,32 @@ test:
 	$(GO) test ./...
 
 # The whole suite re-runs under the race detector; part of the tier-1
-# check. (Formerly only server/exec/csced — bench and the baselines run
-# enough goroutines to deserve the net too.)
+# check. It is the one -race pass: it covers the live-ingest swap and
+# subscription paths, the ccsr copy-on-write sharing tests, the shard
+# exactness matrix, the prefilter never-wrong corpus and the SIGKILL
+# crash drills of cmd/csced, which earlier focused targets re-ran with the
+# same flags (DESIGN.md "Static analysis" records why they went).
 race:
 	$(GO) test -race ./...
-
-# Focused race pass over the live-ingest subsystem: the snapshot-swap and
-# subscription paths are the most concurrency-dense code in the tree, so
-# they get a dedicated run (with -count=2 for schedule diversity) on top
-# of the whole-suite `race` target. The ccsr line is the copy-on-write
-# contract underneath the swap: snapshots share clusters and indexes with
-# the writer, and these tests read and clone the shared side while the
-# other is written — TestSharedSnapshotReadsWriteNothing matches queries
-# straight off a published snapshot's own clusters while a writer churns
-# clones of it.
-live-race:
-	$(GO) test -race -count=2 ./internal/live
-	$(GO) test -race -count=2 -run 'TestClone|TestNewClusterLeavesSnapshotPairIndexAlone|TestPropertyClonesStayIndependent|TestSharedSnapshotReadsWriteNothing' ./internal/ccsr
-	$(GO) test -race -count=2 -run 'TestE2EConcurrentReadersAcrossSwaps|TestSubscribeDeltaEquation|TestMutateEndpoint' ./internal/server
-
-# Focused race pass over the scatter-gather subsystem: the coordinator
-# runs goroutine-per-shard scatters, K concurrent shard writers, and an
-# append-only ownership map — the exactness gate (sharded counts ==
-# single-store counts, including under concurrent mutations) re-runs here
-# under the race detector with -count=2 for schedule diversity.
-shard-race:
-	$(GO) test -race -count=2 ./internal/shard
-	$(GO) test -race -run 'TestSharded' ./internal/server
-
-# Never-wrong property gate for the admission pre-filters, under the race
-# detector: the prefilter unit suite (incremental == rebuild, soundness
-# against the executor), the live-ingest signature maintenance tests, and
-# the shard-layer TestPrefilterNeverWrong corpus×K×mutation matrix plus
-# the concurrent check/mutate race test. A Reject must always coincide
-# with an executor count of zero.
-prefilter-race:
-	$(GO) test -race ./internal/prefilter
-	$(GO) test -race -run 'TestPrefilter' ./internal/live ./internal/shard ./internal/server
-
-# Crash-recovery drills: the tests re-exec the (race-instrumented) test
-# binary as a real csced and SIGKILL it mid-mutation-storm. TestCrashRecovery
-# verifies the restart recovers the exact seq/epoch and vertex/edge/match
-# counts; TestCrashResumeSubscription kills the daemon under a live
-# subscriber and proves the resume window rebuilt from the log makes the
-# restart transparent: the resumed stream satisfies count = before +
-# Σdeltas − Σretractions across the crash. See cmd/csced/crash_test.go.
-crash-race:
-	$(GO) test -race -run 'TestCrash' ./cmd/csced
 
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: stdlib-only imports, atomic access
-# consistency, mutex discipline, context propagation, enum-exhaustive
-# switches, unchecked errors, snapshot refcount balance, lock ordering,
-# goroutine exit paths. See internal/lint and DESIGN.md.
+# Project-specific static analysis: unchecked errors, the hot-path
+# allocation budget (ALLOC_BUDGET.json), snapshot refcount balance,
+# lock/unlock balance, plain access to atomically-accessed fields, and the
+# module-wide lock order — each kept because it caught a bug or a mutation
+# drill no other gate catches (see DESIGN.md "Static analysis"). Not a ci
+# prerequisite: TestRepositoryIsClean runs the same suite over the module
+# inside `test`. Scope a run with
+# `go run ./cmd/cscelint -checks allocfree ./internal/exec`.
 lint:
 	$(GO) run ./cmd/cscelint ./...
 
-# The hot-path allocation gate in isolation: //csce:hotpath functions are
-# checked against the compiler's escape analysis, with known allocations
-# pinned (and justified) in ALLOC_BUDGET.json. `lint` already includes
-# this; the standalone target is for iterating on hot-path code.
-alloc-gate:
-	$(GO) run ./cmd/cscelint -checks allocfree ./...
-
-# Flag/documentation drift gate: every flag the csced, cscematch, and
+# Flag/documentation drift check: every flag the csced, cscematch, and
 # cscebenchserve binaries define must be documented in README.md or
-# OPERATIONS.md (stdlib-only checker; see cmd/cscedocs).
+# OPERATIONS.md (stdlib-only checker; see cmd/cscedocs). Not a ci
+# prerequisite: TestRepoDocsComplete runs the same check inside `test`.
 docscheck:
 	$(GO) run ./cmd/cscedocs
 
@@ -95,7 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 10s ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/ccsr
 
-ci: build vet lint alloc-gate docscheck test race live-race crash-race shard-race prefilter-race bench-selftest fuzz-smoke
+ci: build vet test race bench-selftest fuzz-smoke
 
 # Observability hot-path benchmarks plus the enforced budgets: <50ns/op on
 # histogram recording and <150ns/op on the span-export enqueue — the two

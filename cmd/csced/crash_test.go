@@ -139,7 +139,7 @@ func liveStats(t *testing.T, base string) map[string]any {
 // seq and epoch with every acknowledged batch present: the deterministic
 // storm (each batch = one new A vertex plus one edge to vertex 0) lets the
 // test compute vertex, edge, and match counts from the recovered seq
-// alone. This is the `make crash-race` target.
+// alone. `make race` runs it with a race-instrumented daemon.
 func TestCrashRecovery(t *testing.T) {
 	graphPath := writeTempGraph(t)
 	walDir := t.TempDir()

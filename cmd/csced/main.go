@@ -47,12 +47,11 @@
 // serves net/http/pprof on a separate (private) listener.
 //
 // Trace export: with -trace-endpoint set, every finished query trace is
-// shipped asynchronously to a collector as OTLP/JSON (-trace-export=otlp,
-// POST /v1/traces) or Zipkin v2 JSON (-trace-export=zipkin, POST
-// /api/v2/spans). The queue is bounded (-trace-queue): a stalled collector
-// costs dropped traces (counted in csce_trace_export_dropped), never query
-// latency. On shutdown the queue is drained after the HTTP listener, so no
-// tail spans are lost.
+// shipped asynchronously to a collector as OTLP/JSON (POST /v1/traces).
+// The queue is bounded (-trace-queue): a stalled collector costs dropped
+// traces (counted in csce_trace_export_dropped), never query latency. On
+// shutdown the queue is drained after the HTTP listener, so no tail spans
+// are lost.
 package main
 
 import (
@@ -126,7 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		logLevel = fs.String("log-level", "info", "structured-log level on stderr (debug, info, warn, error, off)")
 		shardsN  = fs.Int("shards", 0, "partition every loaded graph into K shards behind a scatter-gather coordinator (0 serves single-store)")
 		shardSch = fs.String("shard-scheme", "id", "vertex->shard assignment for -shards: id (v mod K) or label")
-		traceFmt = fs.String("trace-export", "otlp", "span export wire format: otlp (OTLP/JSON) or zipkin (Zipkin v2 JSON)")
 		traceEP  = fs.String("trace-endpoint", "", "collector URL to POST finished traces to, e.g. http://localhost:4318/v1/traces (empty disables export)")
 		traceQ   = fs.Int("trace-queue", 4096, "bounded export queue; a full queue drops traces instead of blocking queries")
 		traceRg  = fs.Int("trace-ring", 256, "completed traces retained for /debug/trace/{id} (negative disables)")
@@ -163,13 +161,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 	}
 	var exporter *export.Exporter
 	if *traceEP != "" {
-		format, err := export.ParseFormat(*traceFmt)
-		if err != nil {
-			return err
-		}
 		exporter, err = export.New(export.Config{
 			Endpoint:  *traceEP,
-			Format:    format,
 			QueueSize: *traceQ,
 			Logger:    logger,
 		})
@@ -278,7 +271,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 
 	<-ctx.Done()
 	fmt.Fprintf(stdout, "csced: draining (up to %v)...\n", *drainTO)
-	//lint:ignore ctxpropagation ctx is already cancelled here; deriving the drain deadline from it would make it pre-expired
+	// ctx is already cancelled here; deriving the drain deadline from it
+	// would make it pre-expired.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {

@@ -245,7 +245,6 @@ func TestDaemonDrainFlushesTraceExport(t *testing.T) {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
 			"-graph", "tiny=" + path,
-			"-trace-export", "otlp",
 			"-trace-endpoint", collector.URL,
 		}, &out, errOut, started)
 	}()

@@ -53,14 +53,14 @@ func TestCleanFixturePasses(t *testing.T) {
 
 func TestChecksSubset(t *testing.T) {
 	// The errchecklite fixture is dirty for errchecklite but clean for
-	// stdlibonly, so -checks decides the exit status.
-	code, out, _ := runLint(t, "-C", fixture("errchecklite"), "-checks", "stdlibonly", "./...")
+	// refbalance, so -checks decides the exit status.
+	code, out, _ := runLint(t, "-C", fixture("errchecklite"), "-checks", "refbalance", "./...")
 	if code != 0 || out != "" {
-		t.Fatalf("-checks stdlibonly: exit = %d, output = %q; want 0 and empty", code, out)
+		t.Fatalf("-checks refbalance: exit = %d, output = %q; want 0 and empty", code, out)
 	}
-	code, out, _ = runLint(t, "-C", fixture("errchecklite"), "-checks", "stdlibonly,errchecklite", "./...")
+	code, out, _ = runLint(t, "-C", fixture("errchecklite"), "-checks", "refbalance,errchecklite", "./...")
 	if code != 1 || !strings.Contains(out, "[errchecklite]") {
-		t.Fatalf("-checks stdlibonly,errchecklite: exit = %d, output = %q; want findings", code, out)
+		t.Fatalf("-checks refbalance,errchecklite: exit = %d, output = %q; want findings", code, out)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestListChecks(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"stdlibonly", "atomicconsistency", "mutexdiscipline", "ctxpropagation", "enumexhaustive", "errchecklite", "allocfree", "refbalance", "lockorder", "goroleak"} {
+	for _, name := range []string{"atomicconsistency", "mutexdiscipline", "errchecklite", "allocfree", "refbalance", "lockorder"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}

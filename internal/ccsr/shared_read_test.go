@@ -12,7 +12,7 @@ import (
 )
 
 // TestSharedSnapshotReadsWriteNothing is the read half of the sharing
-// contract, run under -race by `make live-race`: queries on one published
+// contract, run under -race by `make race`: queries on one published
 // snapshot are handed the snapshot's own clusters — the same pointers to
 // every goroutine, no copy — and read them while a writer keeps cloning
 // that snapshot and editing, compacting and sealing the clones. The race

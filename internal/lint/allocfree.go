@@ -215,8 +215,8 @@ func (mb *moduleBudget) admit(fn, alloc string) bool {
 // latent holes in the gate, so they fail like any other finding. Only
 // entries belonging to packages in the analyzed set are judged — a run
 // scoped to ./internal/obs cannot tell whether a pin for internal/shard
-// is stale, so it stays silent about it; the module-wide `make
-// alloc-gate` run is the one that keeps the whole budget honest.
+// is stale, so it stays silent about it; the module-wide `make lint` run
+// (and TestRepositoryIsClean) keeps the whole budget honest.
 func finishAllocFree(p *Pass) {
 	s := allocState(p)
 	dirs := make([]string, 0, len(s.budgets))

@@ -7,33 +7,20 @@ import (
 )
 
 // AtomicConsistency enforces the core rule of mixed-mode shared counters:
-// once a variable or struct field is touched through sync/atomic it must
-// never be read or written plainly again, anywhere in the package. A plain
-// load next to atomic.AddUint64 compiles, passes most tests, and tears
-// under load — the exact failure mode the serving layer's metrics and the
-// parallel executor's slot counters would hit.
+// once a variable or struct field is passed by address to the sync/atomic
+// functions (atomic.AddUint64(&s.n, 1), atomic.LoadInt64(&hits), ...) it
+// must never be read or written plainly again, anywhere in the package:
+// every other appearance of the same object must also be an atomic call
+// argument. Composite-literal keys are exempt (pre-publication init). A
+// plain load next to atomic.AddUint64 compiles, passes the race detector
+// unless a test happens to interleave the two, and tears under load.
 //
-// Two field classes are covered:
-//
-//   - untyped fields/vars passed by address to the sync/atomic functions
-//     (atomic.AddUint64(&s.n, 1), atomic.LoadInt64(&hits), ...): every
-//     other appearance of the same object must also be an atomic call
-//     argument. Composite-literal keys are exempt (pre-publication init).
-//
-//   - typed atomics (atomic.Int64, atomic.Uint64, atomic.Bool, ...): every
-//     appearance must be a method call receiver or an address-of; anything
-//     else copies the value out from under concurrent writers.
+// Typed atomics (atomic.Uint64, ...) cannot be read without their methods;
+// copying one is go vet's copylocks finding, so it is not repeated here.
 var AtomicConsistency = &Check{
 	Name: "atomicconsistency",
 	Doc:  "fields accessed via sync/atomic must never be read or written plainly",
 	Run:  runAtomicConsistency,
-}
-
-// atomicTypeNames are the typed atomics of sync/atomic.
-var atomicTypeNames = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true,
-	"Uint32": true, "Uint64": true, "Uintptr": true,
-	"Pointer": true, "Value": true,
 }
 
 // isAtomicFuncCall reports whether call invokes one of sync/atomic's
@@ -60,23 +47,6 @@ func (p *Package) isAtomicFuncCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// isAtomicTyped reports whether t (after stripping pointers) is one of the
-// sync/atomic struct types.
-func isAtomicTyped(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && atomicTypeNames[obj.Name()]
-}
-
 func runAtomicConsistency(p *Pass) {
 	// Objects (fields and variables) atomically accessed somewhere in the
 	// package, and the identifier nodes that constitute those legitimate
@@ -86,12 +56,6 @@ func runAtomicConsistency(p *Pass) {
 	// Identifiers appearing as composite-literal keys: field names, not
 	// accesses.
 	litKeys := map[*ast.Ident]bool{}
-	// Identifiers that are method-call receivers or address-of operands.
-	type useCtx struct {
-		methodRecv bool
-		addressed  bool
-	}
-	use := map[*ast.Ident]useCtx{}
 
 	// resolve maps the identifier of an expression like x, s.f, or (&s).f
 	// to its object (variable or field).
@@ -125,24 +89,7 @@ func runAtomicConsistency(p *Pass) {
 						}
 					}
 				}
-			case *ast.UnaryExpr:
-				if n.Op.String() == "&" {
-					if id, _ := resolve(n.X); id != nil {
-						c := use[id]
-						c.addressed = true
-						use[id] = c
-					}
-				}
 			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if selInfo, ok := p.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-						if id, _ := resolve(sel.X); id != nil {
-							c := use[id]
-							c.methodRecv = true
-							use[id] = c
-						}
-					}
-				}
 				if p.isAtomicFuncCall(n) {
 					for _, arg := range n.Args {
 						un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
@@ -166,25 +113,8 @@ func runAtomicConsistency(p *Pass) {
 			if !ok || litKeys[id] {
 				return true
 			}
-			obj, isUse := p.Info.Uses[id]
-			if !isUse {
-				return true
-			}
-			if atomicObjs[obj] && !sanctioned[id] {
+			if obj, isUse := p.Info.Uses[id]; isUse && atomicObjs[obj] && !sanctioned[id] {
 				p.Reportf(id.Pos(), "%s is accessed with sync/atomic elsewhere; plain access tears under concurrency (use the atomic functions here too)", id.Name)
-				return true
-			}
-			v, isVar := obj.(*types.Var)
-			if !isVar || !isAtomicTyped(v.Type()) {
-				return true
-			}
-			// A typed atomic may only be a method receiver or have its
-			// address taken; any other use copies the value.
-			if _, isPtr := v.Type().(*types.Pointer); isPtr {
-				return true // pointers to atomics copy freely
-			}
-			if c := use[id]; !c.methodRecv && !c.addressed {
-				p.Reportf(id.Pos(), "%s has atomic type %s; use its methods instead of copying the value", id.Name, v.Type())
 			}
 			return true
 		})

@@ -35,9 +35,6 @@ type Package struct {
 	Filenames []string
 	Types     *types.Package
 	Info      *types.Info
-	// Stdlib reports whether an import path names a standard-library
-	// package, as determined authoritatively by the go tool.
-	Stdlib map[string]bool
 
 	// Allocs holds the package's heap-allocation sites parsed from the
 	// compiler's escape analysis, attached by AttachAllocs. Nil until then;
@@ -52,11 +49,6 @@ type Package struct {
 // through the compiler's export data. It is the stdlib-only equivalent of
 // x/tools' packages.Load: `go list -e -export -deps -json` supplies the
 // file sets and export-data locations, go/parser + go/types do the rest.
-//
-// Unresolvable imports do not abort the load: the affected import is given
-// a synthesized empty package so analysis (in particular the stdlibonly
-// check, whose whole job is to flag such imports) can still run over the
-// surrounding code.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -64,8 +56,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Export,Standard,Module"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
-	// Never touch the network during analysis: a missing dependency is a
-	// finding, not something to fetch.
+	// Never touch the network during analysis: a missing dependency fails
+	// the build gate, it is not something to fetch.
 	cmd.Env = append(os.Environ(), "GOPROXY=off")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -90,7 +82,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var modPkgs []listPackage
 	exports := map[string]string{}
-	stdlib := map[string]bool{}
 	modulePath := ""
 	moduleDir := ""
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -101,9 +92,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 				break
 			}
 			return nil, fmt.Errorf("go list output: %v", err)
-		}
-		if lp.Standard {
-			stdlib[lp.ImportPath] = true
 		}
 		if lp.Module != nil && !lp.Standard {
 			if modulePath == "" {
@@ -130,7 +118,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	imp := &moduleImporter{
 		exports: exports,
 		checked: checked,
-		fake:    map[string]*types.Package{},
 	}
 	imp.gc = importer.ForCompiler(fset, "gc", imp.lookup)
 
@@ -158,9 +145,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		conf := types.Config{
 			Importer: imp,
-			// Synthesized packages for unresolvable imports make some
-			// downstream expressions untypeable; those errors are expected
-			// and analysis degrades gracefully, so collect instead of abort.
+			// An unresolvable import makes some downstream expressions
+			// untypeable; go build reports it, and analysis degrades
+			// gracefully, so collect instead of abort.
 			Error: func(error) {},
 		}
 		tp, _ := conf.Check(lp.ImportPath, fset, files, info)
@@ -173,7 +160,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Filenames:  filenames,
 			Types:      tp,
 			Info:       info,
-			Stdlib:     stdlib,
 		})
 		checked[lp.ImportPath] = tp
 	}
@@ -181,12 +167,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // moduleImporter resolves module-internal imports from the packages
-// typechecked so far, everything else from gc export data, and imports
-// with neither (unresolvable dependencies) as synthesized empty packages.
+// typechecked so far and everything else from gc export data.
 type moduleImporter struct {
 	exports map[string]string
 	checked map[string]*types.Package
-	fake    map[string]*types.Package
 	gc      types.Importer
 }
 
@@ -202,21 +186,5 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m.checked[path]; ok {
 		return p, nil
 	}
-	if _, ok := m.exports[path]; ok {
-		return m.gc.Import(path)
-	}
-	if p, ok := m.fake[path]; ok {
-		return p, nil
-	}
-	// Unresolvable (e.g. a third-party import the stdlibonly check exists
-	// to reject): synthesize an empty, complete package so typechecking of
-	// the importer can proceed.
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	m.fake[path] = p
-	return p, nil
+	return m.gc.Import(path)
 }

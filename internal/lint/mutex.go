@@ -6,26 +6,24 @@ import (
 	"go/types"
 )
 
-// MutexDiscipline enforces two lock-hygiene rules:
-//
-//  1. Balance: a mutex locked in a function must be released on every path
-//     out of that function — either by a deferred Unlock or by explicit
-//     Unlocks covering each return. The analysis is a lightweight abstract
-//     interpretation over the statement tree (if/else, switch, select,
-//     loops) tracking which lock expressions are held; it is deliberately
-//     conservative and merges diverging branches by intersection, so a
-//     function that intentionally returns holding a lock needs a
-//     //lint:ignore with its justification.
-//
-//  2. No copies: function parameters and receivers must not take a mutex
-//     (or a struct directly containing one) by value; a copied mutex
-//     guards nothing.
+// MutexDiscipline enforces lock balance: a mutex locked in a function must
+// be released on every path out of that function — either by a deferred
+// Unlock or by explicit Unlocks covering each return — and must not be
+// locked again while held. The analysis is a lightweight abstract
+// interpretation over the statement tree (if/else, switch, select, loops)
+// tracking which lock expressions are held; it is deliberately
+// conservative and merges diverging branches by intersection, so a
+// function that intentionally returns holding a lock needs a
+// //lint:ignore with its justification. A mutex passed by value is go
+// vet's copylocks finding, so it is not repeated here.
 //
 // Lock()/Unlock() and RLock()/RUnlock() pairs are tracked independently
-// per lock expression (spelled as written: "c.mu", "s.names", ...).
+// per lock expression (spelled as written: "c.mu", "s.names", ...). The
+// same held-set walk, keyed by module-wide lock identity instead, builds
+// lockorder's graph.
 var MutexDiscipline = &Check{
 	Name: "mutexdiscipline",
-	Doc:  "every Lock needs an Unlock on all paths; mutexes must not be copied",
+	Doc:  "every Lock needs an Unlock on all paths, and no Lock while already held",
 	Run:  runMutexDiscipline,
 }
 
@@ -35,31 +33,15 @@ func isMutexType(t types.Type) bool {
 	return namedTypeIn(t, "sync", "Mutex") || namedTypeIn(t, "sync", "RWMutex")
 }
 
-// containsMutex reports whether t is a mutex or a struct with a direct
-// (possibly embedded) mutex field.
-func containsMutex(t types.Type) bool {
-	if isMutexType(t) {
-		return true
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		ft := st.Field(i).Type()
-		if isMutexType(ft) {
-			return true
-		}
-	}
-	return false
-}
-
 // lockOp classifies a statement-level call on a mutex.
 type lockOp struct {
 	key     string // lock expression + "/r" for the reader half of an RWMutex
 	display string // as written, for diagnostics
 	lock    bool   // true = Lock/RLock, false = Unlock/RUnlock
 	pos     ast.Node
+	// deferred marks a held lock whose Unlock a defer statement already
+	// reached on this path: it is released at function exit.
+	deferred bool
 }
 
 // mutexCallOp decodes expr as mu.Lock() / mu.Unlock() / mu.RLock() /
@@ -124,41 +106,9 @@ func exprKey(e ast.Expr) (string, bool) {
 }
 
 func runMutexDiscipline(p *Pass) {
-	checkCopiedParams(p)
 	funcDecls(p.Package, func(name string, ft *ast.FuncType, body *ast.BlockStmt) {
 		analyzeLockBalance(p, body)
 	})
-}
-
-// checkCopiedParams flags by-value mutex parameters and receivers.
-func checkCopiedParams(p *Pass) {
-	flag := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := p.Info.Types[field.Type].Type
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsMutex(t) {
-				p.Reportf(field.Pos(), "%s passes %s by value, copying its mutex; use a pointer", what, t)
-			}
-		}
-	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			flag(fd.Recv, "receiver")
-			flag(fd.Type.Params, "parameter")
-		}
-	}
 }
 
 // lockState maps held lock keys to the operation that acquired them.
@@ -184,44 +134,16 @@ func (s lockState) intersect(o lockState) lockState {
 	return c
 }
 
-// balanceScope accumulates function-level facts during the walk.
+// balanceScope carries the pass through one function's walk.
 type balanceScope struct {
 	p *Pass
-	// deferred holds lock keys with a deferred Unlock anywhere in the
-	// function (flow-insensitively: a conditional defer still counts).
-	deferred map[string]bool
 }
 
 // analyzeLockBalance walks one function body. Nested function literals are
 // not descended into here — funcDecls hands them to this analysis
-// separately — except to scan deferred closures for Unlock calls.
+// separately — except to read deferred closures for Unlock calls.
 func analyzeLockBalance(p *Pass, body *ast.BlockStmt) {
-	sc := &balanceScope{p: p, deferred: map[string]bool{}}
-	// Pre-scan for deferred unlocks so early returns see later defers
-	// (defers run at return regardless of where the statement sits).
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ds, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
-		}
-		if op, ok := mutexCallOp(p.Package, ds.Call); ok && !op.lock {
-			sc.deferred[op.key] = true
-		}
-		if fl, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(fl.Body, func(m ast.Node) bool {
-				if es, ok := m.(*ast.ExprStmt); ok {
-					if op, ok := mutexCallOp(p.Package, es.X); ok && !op.lock {
-						sc.deferred[op.key] = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
+	sc := &balanceScope{p: p}
 	st, terminated := sc.walkStmts(body.List, lockState{})
 	if !terminated {
 		sc.reportHeld(st, "end of function")
@@ -229,10 +151,11 @@ func analyzeLockBalance(p *Pass, body *ast.BlockStmt) {
 }
 
 // reportHeld flags every lock still held at an exit point, unless a
-// deferred Unlock covers it.
+// deferred Unlock covers it on this path. A defer placed after an early
+// return does not cover that return.
 func (sc *balanceScope) reportHeld(st lockState, where string) {
-	for key, op := range st {
-		if sc.deferred[key] {
+	for _, op := range st {
+		if op.deferred {
 			continue
 		}
 		sc.p.Reportf(op.pos.Pos(), "%s is still locked at %s on some path (unlock it or defer the Unlock)", op.display, where)
@@ -266,6 +189,27 @@ func (sc *balanceScope) walkStmt(stmt ast.Stmt, st lockState) (lockState, bool) 
 			} else {
 				st = st.clone()
 				delete(st, op.key)
+			}
+		}
+	case *ast.DeferStmt:
+		// defer mu.Unlock(), or a deferred closure that unlocks, covers
+		// the locks held here from this point on.
+		unlocks := []ast.Expr{s.Call}
+		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
+			ast.Inspect(fl.Body, func(m ast.Node) bool {
+				if es, ok := m.(*ast.ExprStmt); ok {
+					unlocks = append(unlocks, es.X)
+				}
+				return true
+			})
+		}
+		for _, e := range unlocks {
+			if op, ok := mutexCallOp(sc.p.Package, e); ok && !op.lock {
+				if held, ok := st[op.key]; ok && !held.deferred {
+					st = st.clone()
+					held.deferred = true
+					st[op.key] = held
+				}
 			}
 		}
 	case *ast.ReturnStmt:

@@ -1,6 +1,5 @@
 // Fixture for the atomicconsistency check: objects touched through
-// sync/atomic must never be read or written plainly, and typed atomics
-// must not be copied by value.
+// sync/atomic must never be read or written plainly.
 package atomicconsistency
 
 import "sync/atomic"
@@ -38,12 +37,6 @@ func badPlainWrite(s *stats) {
 // badGlobal covers package-level variables, not just fields.
 func badGlobal() int64 {
 	return global // want `global is accessed with sync/atomic elsewhere`
-}
-
-// badCopy copies a typed atomic out from under concurrent writers.
-func badCopy(s *stats) uint64 {
-	c := s.total // want `total has atomic type sync/atomic.Uint64`
-	return c.Load()
 }
 
 // goodInit initializes via a composite-literal key, which happens before

@@ -3,16 +3,8 @@
 package clean
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
-)
-
-type counterKind uint8
-
-const (
-	kindHits counterKind = iota
-	kindMisses
 )
 
 type counters struct {
@@ -34,14 +26,3 @@ func (c *counters) Bump(name string) {
 
 // Total reads through the atomic's method.
 func (c *counters) Total() uint64 { return c.total.Load() }
-
-// Describe switches exhaustively.
-func Describe(k counterKind) string {
-	switch k {
-	case kindHits:
-		return "hits"
-	case kindMisses:
-		return "misses"
-	}
-	return fmt.Sprintf("counterKind(%d)", uint8(k))
-}

@@ -25,7 +25,7 @@ func notReached(path string) {
 
 // wrongCheck: suppressing a different check leaves the finding live.
 func wrongCheck(path string) {
-	os.Remove(path) //lint:ignore stdlibonly not the check that fires here // want `os.Remove returns an error that is not checked`
+	os.Remove(path) //lint:ignore refbalance not the check that fires here // want `os.Remove returns an error that is not checked`
 }
 
 // unsuppressed is the control.

@@ -1,5 +1,5 @@
 // Fixture for the mutexdiscipline check: every Lock released on every
-// path, no double locking, no by-value mutex passing.
+// path, no double locking.
 package mutexdiscipline
 
 import (
@@ -89,17 +89,13 @@ func goodClosureDefer(b *box) int {
 	return b.n
 }
 
-// badByValueParam copies the mutex with the struct.
-func badByValueParam(b box) int { // want `parameter passes .*\.box by value, copying its mutex`
-	return b.n
-}
-
-// badByValueRecv copies it through the receiver.
-func (b box) badByValueRecv() int { // want `receiver passes .*\.box by value, copying its mutex`
-	return b.n
-}
-
-// goodPointerParam is the fix for both.
-func goodPointerParam(b *box) int {
+// badReturnBeforeDefer: a defer further down does not cover a return
+// that runs before it.
+func badReturnBeforeDefer(b *box, closed bool) int {
+	b.mu.Lock() // want `b.mu is still locked at the return on line \d+`
+	if closed {
+		return 0
+	}
+	defer b.mu.Unlock()
 	return b.n
 }

@@ -7,13 +7,11 @@ import (
 	"csce/internal/obs"
 )
 
-// This file renders finished traces into the two supported wire formats
-// using only encoding/json — no generated protobuf code. Both formats
-// carry the same facts: 32-hex trace IDs (our 16-hex IDs left-padded with
-// zeros, which OTLP and Zipkin both accept), 16-hex span IDs, parent
-// links, absolute wall-clock windows derived from the trace start plus
-// each span's offsets, and the span attributes as typed key/values (OTLP)
-// or string tags (Zipkin).
+// This file renders finished traces as OTLP/JSON using only encoding/json
+// — no generated protobuf code: 32-hex trace IDs (our 16-hex IDs
+// left-padded with zeros), 16-hex span IDs, parent links, absolute
+// wall-clock windows derived from the trace start plus each span's
+// offsets, and the span attributes as typed key/values.
 
 // --- OTLP/JSON (OTLP/HTTP with JSON payload, /v1/traces) ---
 //
@@ -125,65 +123,4 @@ func encodeOTLP(batch []obs.FinishedTrace, service string) ([]byte, error) {
 		}},
 	}}}
 	return json.Marshal(req)
-}
-
-// --- Zipkin v2 JSON (/api/v2/spans) ---
-//
-// Zipkin takes a flat span array; timestamps and durations are in
-// microseconds, attributes become string tags.
-
-type zipkinSpan struct {
-	TraceID       string            `json:"traceId"`
-	ID            string            `json:"id"`
-	ParentID      string            `json:"parentId,omitempty"`
-	Name          string            `json:"name"`
-	Kind          string            `json:"kind,omitempty"`
-	Timestamp     int64             `json:"timestamp"`
-	Duration      int64             `json:"duration"`
-	LocalEndpoint zipkinEndpoint    `json:"localEndpoint"`
-	Tags          map[string]string `json:"tags,omitempty"`
-}
-
-type zipkinEndpoint struct {
-	ServiceName string `json:"serviceName"`
-}
-
-// encodeZipkin renders a batch as one flat Zipkin v2 span array.
-func encodeZipkin(batch []obs.FinishedTrace, service string) ([]byte, error) {
-	var spans []zipkinSpan
-	ep := zipkinEndpoint{ServiceName: service}
-	for _, ft := range batch {
-		tid := string(ft.ID)
-		for _, sp := range ft.Spans {
-			dur := sp.Duration().Microseconds()
-			if dur < 1 {
-				dur = 1 // Zipkin rejects zero durations
-			}
-			z := zipkinSpan{
-				TraceID:       tid,
-				ID:            sp.ID.Hex(),
-				Name:          sp.Name,
-				Timestamp:     ft.Begin.Add(sp.Start).UnixMicro(),
-				Duration:      dur,
-				LocalEndpoint: ep,
-			}
-			if sp.ID == ft.Root {
-				z.Kind = "SERVER"
-			} else if sp.Parent != 0 {
-				z.ParentID = sp.Parent.Hex()
-			}
-			if len(sp.Attrs) > 0 {
-				z.Tags = make(map[string]string, len(sp.Attrs))
-				for _, a := range sp.Attrs {
-					if a.IsNum {
-						z.Tags[a.Key] = strconv.FormatInt(a.Num, 10)
-					} else {
-						z.Tags[a.Key] = a.Str
-					}
-				}
-			}
-			spans = append(spans, z)
-		}
-	}
-	return json.Marshal(spans)
 }

@@ -1,7 +1,6 @@
 // Package export ships finished query traces to a standards-based
-// collector over HTTP: OTLP/JSON (the OpenTelemetry protobuf-JSON mapping,
-// POST /v1/traces) or Zipkin v2 JSON (POST /api/v2/spans), both encoded
-// with the standard library only.
+// collector over HTTP as OTLP/JSON (the OpenTelemetry protobuf-JSON
+// mapping, POST /v1/traces), encoded with the standard library only.
 //
 // The exporter is deliberately asymmetric about who waits: the query path
 // never does. Enqueue is a single non-blocking channel send — when the
@@ -36,53 +35,13 @@ import (
 	"csce/internal/obs"
 )
 
-// Format selects the wire encoding.
-type Format int
-
-const (
-	// FormatOTLP is OTLP/JSON: the OpenTelemetry OTLP/HTTP protocol with
-	// JSON payload, POSTed to a /v1/traces endpoint.
-	FormatOTLP Format = iota
-	// FormatZipkin is Zipkin v2 JSON: a flat span array POSTed to an
-	// /api/v2/spans endpoint.
-	FormatZipkin
-)
-
-// ParseFormat maps the -trace-export flag value to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "otlp":
-		return FormatOTLP, nil
-	case "zipkin":
-		return FormatZipkin, nil
-	default:
-		return 0, fmt.Errorf("export: unknown trace export format %q (want otlp or zipkin)", s)
-	}
-}
-
-// String returns the flag-value form.
-func (f Format) String() string {
-	switch f {
-	case FormatOTLP:
-		return "otlp"
-	case FormatZipkin:
-		return "zipkin"
-	default:
-		return fmt.Sprintf("format(%d)", int(f))
-	}
-}
-
 // Config parameterizes an Exporter. Zero fields take the defaults noted
 // on each; only Endpoint is mandatory.
 type Config struct {
 	// Endpoint is the collector URL to POST batches to, e.g.
-	// http://localhost:4318/v1/traces (OTLP) or
-	// http://localhost:9411/api/v2/spans (Zipkin).
+	// http://localhost:4318/v1/traces.
 	Endpoint string
-	// Format selects the wire encoding (default OTLP).
-	Format Format
-	// Service is the service.name resource attribute / Zipkin
-	// localEndpoint (default "csced").
+	// Service is the service.name resource attribute (default "csced").
 	Service string
 	// QueueSize bounds the trace queue; a full queue drops (default 4096).
 	QueueSize int
@@ -110,9 +69,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Format != FormatZipkin {
-		c.Format = FormatOTLP
-	}
 	if c.Service == "" {
 		c.Service = "csced"
 	}
@@ -232,9 +188,6 @@ func (e *Exporter) Stats() Stats {
 // Latency snapshots the POST latency histogram.
 func (e *Exporter) Latency() obs.HistogramSnapshot { return e.latency.Snapshot() }
 
-// Format returns the configured wire format.
-func (e *Exporter) Format() Format { return e.cfg.Format }
-
 // Endpoint returns the configured collector URL.
 func (e *Exporter) Endpoint() string { return e.cfg.Endpoint }
 
@@ -327,16 +280,7 @@ func (e *Exporter) loop() {
 // jitter; anything else, or attempt exhaustion, drops the batch with a
 // warning.
 func (e *Exporter) send(batch []obs.FinishedTrace, rng *rand.Rand) {
-	var (
-		body []byte
-		err  error
-	)
-	switch e.cfg.Format {
-	case FormatZipkin:
-		body, err = encodeZipkin(batch, e.cfg.Service)
-	default:
-		body, err = encodeOTLP(batch, e.cfg.Service)
-	}
+	body, err := encodeOTLP(batch, e.cfg.Service)
 	if err != nil {
 		// Encoding is infallible for the types we marshal; belt and
 		// braces only.

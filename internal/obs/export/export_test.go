@@ -14,7 +14,7 @@ import (
 	"csce/internal/obs"
 )
 
-// collector is an in-process fake OTLP/Zipkin endpoint: it records every
+// collector is an in-process fake OTLP endpoint: it records every
 // POST body it accepts and can be scripted to fail the first N requests
 // or to stall until released.
 type collector struct {
@@ -105,18 +105,6 @@ var (
 	hex16 = regexp.MustCompile(`^[0-9a-f]{16}$`)
 	hex32 = regexp.MustCompile(`^[0-9a-f]{32}$`)
 )
-
-func TestParseFormat(t *testing.T) {
-	if f, err := ParseFormat("otlp"); err != nil || f != FormatOTLP {
-		t.Fatalf("ParseFormat(otlp) = %v, %v", f, err)
-	}
-	if f, err := ParseFormat("zipkin"); err != nil || f != FormatZipkin {
-		t.Fatalf("ParseFormat(zipkin) = %v, %v", f, err)
-	}
-	if _, err := ParseFormat("jaeger"); err == nil {
-		t.Fatal("ParseFormat(jaeger) should fail")
-	}
-}
 
 func TestNewRequiresEndpoint(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
@@ -248,75 +236,6 @@ func TestOTLPBatchFraming(t *testing.T) {
 	}
 	if !foundNested {
 		t.Fatal("nested exec span absent from batch")
-	}
-}
-
-// TestZipkinFraming asserts the Zipkin v2 shape: a flat span array with
-// hex IDs, microsecond timestamps, >=1us durations, the localEndpoint
-// service name, SERVER kind on the root, and attributes as string tags.
-func TestZipkinFraming(t *testing.T) {
-	var c collector
-	srv := httptest.NewServer(c.handler())
-	defer srv.Close()
-
-	e := startExporter(t, Config{
-		Endpoint: srv.URL, Format: FormatZipkin, Service: "csce-test",
-		Linger: 10 * time.Millisecond,
-	})
-	ft := testTrace(t)
-	e.Enqueue(ft)
-	waitFor(t, "batch delivery", func() bool { return len(c.accepted()) >= 1 })
-
-	var spans []struct {
-		TraceID       string `json:"traceId"`
-		ID            string `json:"id"`
-		ParentID      string `json:"parentId"`
-		Name          string `json:"name"`
-		Kind          string `json:"kind"`
-		Timestamp     int64  `json:"timestamp"`
-		Duration      int64  `json:"duration"`
-		LocalEndpoint struct {
-			ServiceName string `json:"serviceName"`
-		} `json:"localEndpoint"`
-		Tags map[string]string `json:"tags"`
-	}
-	if err := json.Unmarshal(c.accepted()[0], &spans); err != nil {
-		t.Fatalf("decode Zipkin body: %v", err)
-	}
-	if len(spans) != len(ft.Spans) {
-		t.Fatalf("want %d spans, got %d", len(ft.Spans), len(spans))
-	}
-	var rootID string
-	for _, sp := range spans {
-		if sp.Name == "http.match" {
-			rootID = sp.ID
-			if sp.Kind != "SERVER" {
-				t.Fatalf("root kind = %q, want SERVER", sp.Kind)
-			}
-			if sp.Tags["graph"] != "g" || sp.Tags["epoch"] != "3" {
-				t.Fatalf("root tags = %v", sp.Tags)
-			}
-		}
-	}
-	if rootID == "" {
-		t.Fatal("no root span")
-	}
-	for _, sp := range spans {
-		if sp.TraceID != string(ft.ID) {
-			t.Fatalf("traceId = %q, want %q", sp.TraceID, ft.ID)
-		}
-		if !hex16.MatchString(sp.ID) {
-			t.Fatalf("id %q is not 16-hex", sp.ID)
-		}
-		if sp.Timestamp <= 0 || sp.Duration < 1 {
-			t.Fatalf("span %s timestamp/duration = %d/%d", sp.Name, sp.Timestamp, sp.Duration)
-		}
-		if sp.LocalEndpoint.ServiceName != "csce-test" {
-			t.Fatalf("localEndpoint = %q", sp.LocalEndpoint.ServiceName)
-		}
-		if sp.Name == "plan" && sp.ParentID != rootID {
-			t.Fatalf("plan parentId = %q, want root %q", sp.ParentID, rootID)
-		}
 	}
 }
 

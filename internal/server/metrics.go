@@ -326,7 +326,6 @@ func (s *Server) seriesTable() []series {
 	// the queries it describes.
 	if exp := s.exporter; exp != nil {
 		t = append(t,
-			series{"trace_export.format", "", "", func() any { return exp.Format().String() }},
 			series{"trace_export.endpoint", "", "", func() any { return exp.Endpoint() }},
 			series{"trace_export.queue_cap", "trace_export_queue_cap", "gauge", func() any { return exp.QueueCap() }},
 			series{"trace_export.queued", "trace_export_queued", "counter", func() any { return exp.Stats().Queued }},

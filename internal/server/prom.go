@@ -122,8 +122,7 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	if s.exporter != nil {
 		// The exporter owns its histogram; only a snapshot crosses over.
 		fmt.Fprint(bw, "# TYPE csce_trace_export_latency_seconds histogram\n")
-		promHist(bw, "csce_trace_export_latency_seconds", "format",
-			s.exporter.Format().String(), s.exporter.Latency())
+		promHist(bw, "csce_trace_export_latency_seconds", "", s.exporter.Latency())
 	}
 
 	// Latency histograms.
@@ -157,18 +156,23 @@ func promFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 func promHistFamily(w io.Writer, name, label string, order []string, hists map[string]*obs.Histogram) {
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	for _, key := range order {
-		promHist(w, name, label, key, hists[key].Snapshot())
+		promHist(w, name, fmt.Sprintf("%s=%q", label, key), hists[key].Snapshot())
 	}
 }
 
-// promHist writes one member of a histogram family: cumulative _bucket
-// series (le in seconds, closing with +Inf), _sum in seconds, and _count.
-func promHist(w io.Writer, name, label, key string, snap obs.HistogramSnapshot) {
-	uppers, cum := snap.PromBuckets()
-	for i, le := range uppers {
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, key, promFloat(le), cum[i])
+// promHist writes one histogram series set, labelled by labels (`k="v"`,
+// or empty for none): cumulative _bucket series (le in seconds, closing
+// with +Inf), _sum in seconds, and _count.
+func promHist(w io.Writer, name, labels string, snap obs.HistogramSnapshot) {
+	le, set := "", ""
+	if labels != "" {
+		le, set = labels+",", "{"+labels+"}"
 	}
-	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, key, snap.Count)
-	fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", name, label, key, promFloat(snap.SumSeconds()))
-	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, key, snap.Count)
+	uppers, cum := snap.PromBuckets()
+	for i, up := range uppers {
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, promFloat(up), cum[i])
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, snap.Count)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, set, promFloat(snap.SumSeconds()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, snap.Count)
 }

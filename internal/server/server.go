@@ -117,10 +117,10 @@ type Config struct {
 	// the query's trace ID (default: discard).
 	Logger *slog.Logger
 	// TraceExporter, when set, receives every finished query trace for
-	// asynchronous export (OTLP/JSON or Zipkin v2 — see internal/obs/
-	// export). The server drains it on Shutdown after the HTTP listener
-	// has drained, so no tail spans are lost; it does not create it —
-	// csced builds one from -trace-export/-trace-endpoint.
+	// asynchronous export as OTLP/JSON (see internal/obs/export). The
+	// server drains it on Shutdown after the HTTP listener has drained, so
+	// no tail spans are lost; it does not create it — csced builds one
+	// from -trace-endpoint.
 	TraceExporter *export.Exporter
 	// TraceRingSize bounds the completed-trace ring behind
 	// /debug/trace/{id} (default 256; negative disables retention).

@@ -366,7 +366,7 @@ func edgeInBatch(muts []live.Mutation, src, dst graph.VertexID) bool {
 // TestConcurrentMutateAndMatch exercises the issue's concurrency gate:
 // edge-only batches on different shards run concurrently with matches;
 // afterwards sharded counts still equal a single-store rebuild. Run under
-// -race via make shard-race.
+// -race via make race.
 func TestConcurrentMutateAndMatch(t *testing.T) {
 	spec := dataset.Spec{Kind: dataset.PPI, Vertices: 160, TargetEdges: 500, VertexLabels: 3, Seed: 41}
 	g := spec.Generate()

@@ -30,7 +30,7 @@ func manglePattern(t *testing.T, p *graph.Graph, shift graph.Label) *graph.Graph
 // coincide with an executor count of zero — checked by forcing the scatter
 // with SkipPrefilter and comparing, for sampled patterns, their mangled
 // variants, and both supported matching variants, after every mutation
-// round. Runs under -race via make prefilter-race.
+// round. Runs under -race via make race.
 func TestPrefilterNeverWrong(t *testing.T) {
 	for _, spec := range exactnessCorpus() {
 		spec := spec
@@ -132,7 +132,7 @@ func TestPrefilterNeverWrong(t *testing.T) {
 // TestPrefilterConcurrentChecks races admission checks against live
 // mutation batches (the signature's RLock path against Batch's write
 // path); the race detector is the assertion, plus a quiesced final
-// soundness check. Runs under -race via make prefilter-race.
+// soundness check. Runs under -race via make race.
 func TestPrefilterConcurrentChecks(t *testing.T) {
 	spec := dataset.Spec{Kind: dataset.PPI, Vertices: 160, TargetEdges: 500, VertexLabels: 3, Seed: 51}
 	g := spec.Generate()
