@@ -46,6 +46,23 @@ func (t *LabelTable) Edge(name string) EdgeLabel {
 	return l
 }
 
+// vertexBytes interns a vertex label name given as bytes; only a name seen
+// for the first time is copied into a string.
+func (t *LabelTable) vertexBytes(name []byte) Label {
+	if l, ok := t.vertexByName[string(name)]; ok {
+		return l
+	}
+	return t.Vertex(string(name))
+}
+
+// edgeBytes is vertexBytes for edge label names.
+func (t *LabelTable) edgeBytes(name []byte) EdgeLabel {
+	if l, ok := t.edgeByName[string(name)]; ok {
+		return l
+	}
+	return t.Edge(string(name))
+}
+
 // VertexName returns the symbolic name of a vertex label, or a numeric
 // placeholder when the label was never interned by name.
 func (t *LabelTable) VertexName(l Label) string {
