@@ -55,8 +55,8 @@ func badEarlyReturn(g *Graph, fail bool) error {
 // every iteration's snapshot stays pinned until the whole walk finishes.
 func badDeferInLoop(g *Graph, n int) {
 	for i := 0; i < n; i++ {
-		snap := g.Acquire()   // want `snap is acquired inside the loop but still pinned at the end of the iteration`
-		defer snap.Release()  // want `defer snap.Release\(\) inside a loop runs at function exit`
+		snap := g.Acquire()  // want `snap is acquired inside the loop but still pinned at the end of the iteration`
+		defer snap.Release() // want `defer snap.Release\(\) inside a loop runs at function exit`
 		_ = work(snap.Epoch())
 	}
 }

@@ -219,8 +219,8 @@ type Signature struct {
 	labels     []graph.Label // labels[v]; vertices are never relabeled or deleted
 	deg        []uint32      // deg[v] = incident edges (out+in for directed)
 	labelCount map[graph.Label]uint32
-	pair       map[pairKey]uint32   // edges per unordered endpoint-label pair
-	cluster    map[ccsr.Key]uint32  // edges per exact cluster
+	pair       map[pairKey]uint32  // edges per unordered endpoint-label pair
+	cluster    map[ccsr.Key]uint32 // edges per exact cluster
 	degHist    map[graph.Label]*hist
 	wl         map[wlKey]*wlEntry
 

@@ -227,10 +227,11 @@ func appendVert(b []byte, v graph.VertexID) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// mergeRow extends a left row with the right row's novel columns.
+// mergeRow extends a left row with the right row's novel columns. It runs
+// once per joined row pair; its output make is pinned in the budget because
+// each merged row must own distinct backing memory.
 //
-//csce:hotpath once per joined row pair; its output make is pinned in the
-// budget because each merged row must own distinct backing memory
+//csce:hotpath
 func mergeRow(left, right []graph.VertexID, rightNewIdx []int) []graph.VertexID {
 	out := make([]graph.VertexID, 0, len(left)+len(rightNewIdx))
 	out = append(out, left...)
@@ -240,10 +241,11 @@ func mergeRow(left, right []graph.VertexID, rightNewIdx []int) []graph.VertexID 
 	return out
 }
 
-// hashJoin materializes one intermediate join step.
+// hashJoin materializes one intermediate join step: the cross-shard join
+// inner loop. Per-step setup allocations are pinned; per-row work must
+// reuse the probe key buffer.
 //
-//csce:hotpath the cross-shard join inner loop; per-step setup allocations
-// are pinned, per-row work must reuse the probe key buffer
+//csce:hotpath
 func hashJoin(left, right partialRel, injective bool, candidates *uint64) partialRel {
 	shared, nc := splitColumns(left.cols, right.cols)
 	idx := buildHashIndex(right, shared)
