@@ -102,7 +102,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.metrics.recordPhase(phaseTotal, time.Since(q.start)) }()
 	s.metrics.queriesTotal.Add(1)
 
-	if status, err := s.parseMatch(w, r, q); err != nil {
+	endParse := q.tr.StartSpan("parse")
+	status, err := s.parseMatch(w, r, q)
+	endParse()
+	if err != nil {
 		s.metrics.queriesBadRequest.Add(1)
 		jsonError(w, status, err.Error())
 		return
@@ -119,7 +122,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		pre = be.check(q.pattern, q.params.variant)
 		s.metrics.recordPrefilterCheck(pre)
 		if !pre.Admit {
-			filter, reason := string(pre.Filter), pre.Reason(q.ent.Names)
+			// Reason reads the label table that parses and /mutate intern
+			// into, so it takes the same lock they do.
+			s.names.Lock()
+			reason := pre.Reason(q.ent.Names)
+			s.names.Unlock()
+			filter := string(pre.Filter)
 			endCheck(obs.Str("decision", "reject"), obs.Str("filter", filter), obs.Str("reason", reason))
 			s.metrics.queriesOK.Add(1)
 			s.finish(w, newMatchStream(w), q, be, ending{outcome: "rejected", records: records{
@@ -260,30 +268,20 @@ func (s *Server) recordOutcome(timedOut, streamDead, cancelled bool) string {
 }
 
 // finish writes a query's records the same way for every outcome, in this
-// order: the log line, the http.match trace root (which flows to the ring
-// and the exporter), the slowlog record when the query was slow enough,
-// and the reply's closing line — the NDJSON summary, or a 500 for an error.
+// order: the http.match trace root (which flows to the ring and the
+// exporter), the slowlog record when the query was slow enough, the reply's
+// closing line — the NDJSON summary, or a 500 for an error — and last the
+// log lines, so a synchronous log write is never on the client's clock.
 func (s *Server) finish(w http.ResponseWriter, stream *matchStream, q *matchQuery, be backend, e ending) {
 	total := time.Since(q.start)
-	attrs := append([]any{
-		"trace_id", q.tr.ID,
-		"graph", q.ent.Name,
-		"outcome", e.outcome,
-		"embeddings", e.embeddings,
-		"total_ms", durMs(total),
-	}, e.log...)
-	if e.err != nil {
-		s.log.Error("query failed", attrs...)
-	} else {
-		s.log.Info("query", attrs...)
-	}
 	ft, exported := q.tr.Finish("http.match", append([]obs.Attr{
 		obs.Str("graph", q.ent.Name),
 		obs.Str("outcome", e.outcome),
 		obs.Int("embeddings", int64(e.embeddings)),
 	}, e.trace...)...)
 	be.tag(e.summary)
-	if s.slowlog.Qualifies(total) {
+	slow := s.slowlog.Qualifies(total)
+	if slow {
 		s.metrics.slowQueries.Add(1)
 		detail := map[string]any{
 			"embeddings": e.embeddings,
@@ -313,25 +311,40 @@ func (s *Server) finish(w http.ResponseWriter, stream *matchStream, q *matchQuer
 			TraceURL: traceURL(q.tr.ID),
 			Detail:   detail,
 		})
+	}
+	if e.err != nil {
+		jsonError(w, http.StatusInternalServerError, fmt.Sprintf("match: %v", e.err))
+	} else {
+		e.summary["done"] = true
+		e.summary["trace_id"] = q.tr.ID
+		e.summary["graph"] = q.ent.Name
+		e.summary["embeddings"] = e.embeddings
+		e.summary["cancelled"] = e.cancelled
+		e.summary["timed_out"] = e.timedOut
+		if q.params.profile {
+			// EXPLAIN ANALYZE for CSCE: the phase spans, inline.
+			e.summary["spans"] = q.tr.SpanDoc()
+		}
+		stream.summary(e.summary)
+	}
+
+	attrs := append([]any{
+		"trace_id", q.tr.ID,
+		"graph", q.ent.Name,
+		"outcome", e.outcome,
+		"embeddings", e.embeddings,
+		"total_ms", durMs(total),
+	}, e.log...)
+	if e.err != nil {
+		s.log.Error("query failed", attrs...)
+	} else {
+		s.log.Info("query", attrs...)
+	}
+	if slow {
 		s.log.Warn("slow query captured",
 			"trace_id", q.tr.ID, "graph", q.ent.Name, "total_ms", durMs(total),
 			"threshold_ms", durMs(s.slowlog.Threshold()))
 	}
-	if e.err != nil {
-		jsonError(w, http.StatusInternalServerError, fmt.Sprintf("match: %v", e.err))
-		return
-	}
-	e.summary["done"] = true
-	e.summary["trace_id"] = q.tr.ID
-	e.summary["graph"] = q.ent.Name
-	e.summary["embeddings"] = e.embeddings
-	e.summary["cancelled"] = e.cancelled
-	e.summary["timed_out"] = e.timedOut
-	if q.params.profile {
-		// EXPLAIN ANALYZE for CSCE: the phase spans, inline.
-		e.summary["spans"] = q.tr.SpanDoc()
-	}
-	stream.summary(e.summary)
 }
 
 // storeBackend serves a single-store graph: it pins the current snapshot,

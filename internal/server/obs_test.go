@@ -207,7 +207,7 @@ func TestProfileInlineOutput(t *testing.T) {
 	if !ok {
 		t.Fatalf("spans missing from profiled summary: %v", summary)
 	}
-	for _, name := range []string{"admission", "plan", "core.read", "core.plan", "exec.search"} {
+	for _, name := range []string{"parse", "admission", "plan", "core.read", "core.plan", "exec.search"} {
 		if _, ok := spans[name]; !ok {
 			t.Errorf("spans missing %q (trace did not propagate): %v", name, spans)
 		}

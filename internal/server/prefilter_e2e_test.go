@@ -2,11 +2,16 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
+	"csce/internal/core"
 	"csce/internal/graph"
 )
 
@@ -232,4 +237,37 @@ func TestPrefilterShardedE2E(t *testing.T) {
 		t.Fatalf("sharded vertex-induced status %d, want 422", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestPrefilterReasonWhileInterning renders reject reasons while other
+// queries intern new label names into the same table. Every query here
+// both interns (its labels are new) and rejects (no data edge carries
+// them), so under -race a reason read outside the label-table lock races
+// with the other client's parse.
+func TestPrefilterReasonWhileInterning(t *testing.T) {
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	g := cycleGraph(6)
+	g.Names = NumericLabels(g)
+	if _, err := s.Registry().Add("ring", core.NewEngine(g)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				pattern := fmt.Sprintf("t undirected\nv 0 a%d-%d\nv 1 b%d-%d\ne 0 1\n", c, i, c, i)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs/ring/match", strings.NewReader(pattern)))
+				want := fmt.Sprintf("no edge between labels a%d-%d and b%d-%d", c, i, c, i)
+				if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+					t.Errorf("client %d query %d: status %d, body %s", c, i, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -157,7 +157,7 @@ func TestShardedMatchExportsOTLPTraceTree(t *testing.T) {
 
 	// The scatter tree: shard.scatter under the root, one shard.local per
 	// shard under the scatter, and shard.plan/shard.join as its siblings.
-	for _, name := range []string{"admission", "shard.plan", "shard.scatter", "shard.join", "exec", "stream"} {
+	for _, name := range []string{"parse", "admission", "shard.plan", "shard.scatter", "shard.join", "exec", "stream"} {
 		got := byName[name]
 		if len(got) != 1 {
 			t.Fatalf("want exactly one %s span, got %d (names: %v)", name, len(got), names(spans))
