@@ -117,13 +117,33 @@ func TestFig4Clusters(t *testing.T) {
 func TestRowIndexBound(t *testing.T) {
 	// The paper bounds the compressed row index at 2 integers per edge;
 	// the row directory costs 2 per non-empty row, plus one closing offset.
+	// The jump index adds fewer than len(rows)/jumpRows entries (none below
+	// 2*jumpRows rows), at most 1/16 of the directory, all in the capacity
+	// of offs, which bytes() counts — whether Build or Decode made the side.
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(seed, 200, 800, 4, 2, seed%2 == 0)
 		s := Build(g)
-		for _, c := range s.clusters {
-			out := c.base.Out
-			if len(out.offs) != len(out.rows)+1 || len(out.rows)+len(out.offs) > 2*out.Len()+1 {
-				t.Fatalf("cluster %v: %d row ids + %d offsets for %d columns", c.Key, len(out.rows), len(out.offs), out.Len())
+		d, err := Decode(bytes.NewReader(encoded(t, s)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []*Store{s, d} {
+			for _, c := range st.clusters {
+				for _, side := range []*CSR{c.base.Out, c.base.In} {
+					if side == nil {
+						continue
+					}
+					if len(side.offs) != len(side.rows)+1 || len(side.rows)+len(side.offs) > 2*side.Len()+1 {
+						t.Fatalf("cluster %v: %d row ids + %d offsets for %d columns", c.Key, len(side.rows), len(side.offs), side.Len())
+					}
+					jump := side.jump()
+					if len(jump) >= max(1, len(side.rows)/jumpRows) || 16*len(jump) > len(side.rows)+len(side.offs) {
+						t.Fatalf("cluster %v: %d jump entries for %d rows", c.Key, len(jump), len(side.rows))
+					}
+					if want := 4 * (len(side.rows) + len(side.offs) + len(side.col) + len(jump)); side.bytes() != want {
+						t.Fatalf("cluster %v: bytes() = %d, want %d", c.Key, side.bytes(), want)
+					}
+				}
 			}
 		}
 	}
@@ -199,7 +219,7 @@ func TestUndirectedClusterBothOrientations(t *testing.T) {
 }
 
 func TestCSRHelpers(t *testing.T) {
-	c := &CSR{rows: []graph.VertexID{0, 2}, offs: []uint32{0, 2, 3}, col: []graph.VertexID{5, 9, 7}}
+	c := newCSR([]graph.VertexID{0, 2}, []uint32{0, 2, 3}, []graph.VertexID{5, 9, 7})
 	if got := c.Row(0); len(got) != 2 || got[0] != 5 || got[1] != 9 {
 		t.Fatalf("Row(0) = %v", got)
 	}

@@ -185,7 +185,7 @@ func readSide(r io.Reader, numVertices uint64) (*CSR, error) {
 			}
 		}
 	}
-	return &CSR{rows: rows, offs: offs, col: col}, nil
+	return newCSR(rows, offs, col), nil
 }
 
 // checkPairs checks what neither side of a cluster can show alone: every

@@ -182,9 +182,12 @@ func TestDecodeShortClosingRun(t *testing.T) {
 // FuzzDecode throws arbitrary bytes at Decode. Whatever the input: an
 // error or a store, never a panic; and a store that did decode is safe to
 // use and is one Encode could have written — every row of every cluster
-// can be read, EdgesAll visits exactly NumEdges edges, ReadCSR selects
-// every cluster, and Encode, Decode, Encode is a fixed point. The seed
-// corpus is one valid store per directedness and every malformed image of
+// can be read, every id up to NumVertices has a row exactly when the
+// directory lists it (the jump index newCSR builds over a hostile
+// directory misses nothing and invents nothing), EdgesAll visits exactly
+// NumEdges edges, ReadCSR selects every cluster, and Encode, Decode,
+// Encode is a fixed point. The seed corpus is one valid store per
+// directedness and every malformed image of
 // TestDecodeRejectsMalformedRowIndex.
 func FuzzDecode(f *testing.F) {
 	for _, directed := range []bool{false, true} {
@@ -210,6 +213,16 @@ func FuzzDecode(f *testing.F) {
 					row := side.Row(v)
 					if len(row) == 0 || side.RowLen(v) != len(row) || !side.Has(v, row[0]) || int(row[len(row)-1]) >= s.NumVertices() {
 						t.Fatalf("cluster %v row %d: %v", k, v, row)
+					}
+				}
+				rows := side.NonEmptyRows()
+				for v, i := graph.VertexID(0), 0; int(v) <= s.NumVertices(); v++ {
+					listed := i < len(rows) && rows[i] == v
+					if listed {
+						i++
+					}
+					if found := len(side.Row(v)) > 0; found != listed {
+						t.Fatalf("cluster %v: Row(%d) non-empty = %v, but listed in the directory = %v", k, v, found, listed)
 					}
 				}
 			}

@@ -132,8 +132,8 @@ func buildCluster(key Key, pairs []pair) *Compressed {
 
 // emitRows writes one CSR side from pairs sorted row-major: the column
 // array and the directory of non-empty rows, one entry per distinct first
-// element. Nothing is sized by the vertex count, so the cost is
-// O(len(pairs)).
+// element, with room after the offsets for newCSR's jump index. Nothing is
+// sized by the vertex count, so the cost is O(len(pairs)).
 func emitRows(pairs []pair) *CSR {
 	col := make([]graph.VertexID, len(pairs))
 	n := 0
@@ -143,8 +143,12 @@ func emitRows(pairs []pair) *CSR {
 			n++
 		}
 	}
+	starts := 0
+	if n > 0 {
+		_, starts = jumpShape(n, pairs[0].a, pairs[len(pairs)-1].a)
+	}
 	rows := make([]graph.VertexID, 0, n)
-	offs := make([]uint32, 0, n+1)
+	offs := make([]uint32, 0, n+1+starts)
 	for i, p := range pairs {
 		if i > 0 && p.a == pairs[i-1].a {
 			continue
@@ -153,7 +157,7 @@ func emitRows(pairs []pair) *CSR {
 		offs = append(offs, uint32(i))
 	}
 	offs = append(offs, uint32(len(pairs)))
-	return &CSR{rows: rows, offs: offs, col: col}
+	return newCSR(rows, offs, col)
 }
 
 func keyLess(a, b Key) bool {

@@ -15,14 +15,14 @@ import (
 // past a fraction of its size, or when a reader asks for it.
 //
 // An edge belongs to exactly one cluster, and an update costs that cluster
-// at most — never the graph. The existence probe binary-searches the
-// cluster's row directory (O(log non-empty rows), allocation-free);
-// compaction walks the directory, merges the sorted overlays and re-emits
-// it, O(cluster + overlay·log overlay), plus one sort of the incoming side
-// for a directed cluster. No
-// step allocates or touches anything sized by the vertex count. Writes go
-// to private copies under the copy-on-write rules of clone.go, so the same
-// bound holds for what a commit copies.
+// at most — never the graph. The existence probe is one Row lookup in the
+// cluster's row directory (a jump-index probe and a search of one bucket,
+// allocation-free); compaction walks the directory, merges the sorted
+// overlays and re-emits it with a fresh jump index, O(cluster +
+// overlay·log overlay), plus one sort of the incoming side for a directed
+// cluster. No step allocates or touches anything sized by the vertex
+// count. Writes go to private copies under the copy-on-write rules of
+// clone.go, so the same bound holds for what a commit copies.
 //
 // Update semantics match Build exactly: a mutated store is always
 // equivalent to Build applied to the mutated graph (asserted by the
