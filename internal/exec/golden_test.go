@@ -26,7 +26,8 @@ const goldenPath = "testdata/counts.golden"
 // exact Stats counters of seeded patterns on Yeast and Human under all three
 // variants, and a digest of every plan mode's order, dependency DAG,
 // descendant sizes, NEC classes and SCE statistics, plus edge-induced
-// plan-only S64-S2000 patterns on Yeast. A change that claims not to alter
+// plan-only S64-S2000 patterns on Yeast and edge-induced and homomorphic
+// plan-only S500-S2000 patterns on Patent. A change that claims not to alter
 // the search (a faster intersection, a cheaper planner) leaves this file
 // byte-identical; a change that does alter it shows up as a reviewed diff.
 // Regenerate with
@@ -80,6 +81,11 @@ var goldenClasses = []struct {
 // kernel-large plan-only tasks are) but not executed.
 var goldenPlanOnly = []int{64, 200, 500, 1000, 2000}
 
+// goldenPatentPlanOnly are the large plan-only sizes again on Patent, the
+// kernel-large data graph, whose cluster sizes drive the Eq. 2 and LDSF
+// tie-breakers there.
+var goldenPatentPlanOnly = []int{500, 1000, 2000}
+
 var goldenModes = []plan.Mode{plan.ModeCSCE, plan.ModeRI, plan.ModeRICluster, plan.ModeRM, plan.ModeCostBased}
 
 func goldenCounts(t *testing.T) []byte {
@@ -126,6 +132,20 @@ func goldenCounts(t *testing.T) []byte {
 		}
 		_, digest := goldenPlans(t, patterns[0], store, graph.EdgeInduced)
 		fmt.Fprintf(&b, "Yeast %s#0 %s plan-only plans=%016x\n", cfg.Name(), graph.EdgeInduced, digest)
+	}
+	spec, _ = dataset.ByName("Patent")
+	g = spec.Generate()
+	store = ccsr.Build(g)
+	for _, n := range goldenPatentPlanOnly {
+		cfg := dataset.PatternConfig{Size: n, Count: 1, Seed: 2028}
+		patterns, err := dataset.SamplePatterns(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, variant := range []graph.Variant{graph.EdgeInduced, graph.Homomorphic} {
+			_, digest := goldenPlans(t, patterns[0], store, variant)
+			fmt.Fprintf(&b, "Patent %s#0 %s plan-only plans=%016x\n", cfg.Name(), variant, digest)
+		}
 	}
 	return b.Bytes()
 }
