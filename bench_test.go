@@ -361,9 +361,10 @@ func BenchmarkPlanOptimization(b *testing.B) {
 }
 
 // BenchmarkPlanOptimizationN2000 is the Fig. 10 regime: optimization alone
-// of a sparse 2 000-vertex pattern on the Patent analogue, where every
-// per-edge cluster lookup repeated inside GCF or LDSF is multiplied by the
-// pattern size.
+// of a sparse 2 000-vertex pattern on the Patent analogue, once per
+// variant. edge and homomorphic share the edge-only dependency DAG;
+// vertex adds the negation dependencies, whose pairwise scan over the
+// order is quadratic in the pattern size.
 func BenchmarkPlanOptimizationN2000(b *testing.B) {
 	spec, _ := dataset.ByName("Patent")
 	g := spec.Generate()
@@ -372,13 +373,64 @@ func BenchmarkPlanOptimizationN2000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.PlanOnly(p, csce.EdgeInduced); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name    string
+		variant csce.Variant
+	}{{"edge", csce.EdgeInduced}, {"homomorphic", csce.Homomorphic}, {"vertex", csce.VertexInduced}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := engine.PlanOnly(p, c.variant); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkPlanOptimizationSmall measures the plans the serving paths pay
+// per query on Yeast. twig plans sparse 2-6 vertex patterns
+// homomorphically, as a sharded match plans every twig on every shard;
+// pool plans dense and sparse 8-32 vertex patterns under every variant, as
+// a match on a freshly mutated epoch misses the plan cache. ns/plan divides by the
+// plans per iteration.
+func BenchmarkPlanOptimizationSmall(b *testing.B) {
+	spec, _ := dataset.ByName("Yeast")
+	g := spec.Generate()
+	store := csce.NewEngine(g).Store()
+	sample := func(sizes []int, kinds ...bool) []*graph.Graph {
+		var out []*graph.Graph
+		for _, n := range sizes {
+			for _, dense := range kinds {
+				ps, err := dataset.SamplePatterns(g, dataset.PatternConfig{Size: n, Dense: dense, Count: 4, Seed: 41})
+				if err != nil {
+					b.Fatal(err)
+				}
+				out = append(out, ps...)
+			}
+		}
+		return out
+	}
+	run := func(b *testing.B, patterns []*graph.Graph, variants []graph.Variant) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range patterns {
+				for _, v := range variants {
+					if _, err := plan.Optimize(p, store, v, plan.ModeCSCE); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		plans := len(patterns) * len(variants)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*plans), "ns/plan")
+	}
+	b.Run("twig", func(b *testing.B) {
+		run(b, sample([]int{2, 3, 4, 5, 6}, false), []graph.Variant{graph.Homomorphic})
+	})
+	b.Run("pool", func(b *testing.B) {
+		run(b, sample([]int{8, 16, 24, 32}, false, true), graph.Variants())
+	})
 }
 
 // BenchmarkBuildVertexInduced isolates the executor on vertex-induced dense

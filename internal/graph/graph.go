@@ -134,7 +134,7 @@ func (g *Graph) Degree(v VertexID) int {
 	if !g.directed {
 		return len(g.out[v])
 	}
-	return len(mergeDistinct(g.out[v], g.in[v]))
+	return len(g.UndirectedNeighbors(v))
 }
 
 // OutDegree returns the number of outgoing edges of v.
@@ -262,19 +262,33 @@ func (g *Graph) SignatureSize() int { return 4 + 8*g.NumVertices() + 12*g.NumEdg
 // UndirectedNeighbors returns the distinct neighbor IDs of v ignoring edge
 // direction and labels, sorted ascending.
 func (g *Graph) UndirectedNeighbors(v VertexID) []VertexID {
-	var ns []Neighbor
+	n := len(g.out[v])
 	if g.directed {
-		ns = mergeDistinct(g.out[v], g.in[v])
-	} else {
-		ns = g.out[v]
+		n += len(g.in[v])
 	}
-	out := make([]VertexID, 0, len(ns))
-	for _, n := range ns {
-		if len(out) == 0 || out[len(out)-1] != n.To {
-			out = append(out, n.To)
+	return g.AppendUndirectedNeighbors(make([]VertexID, 0, n), v)
+}
+
+// AppendUndirectedNeighbors appends UndirectedNeighbors(v) to dst, so a
+// caller collecting every vertex's neighbors can keep them in one array.
+func (g *Graph) AppendUndirectedNeighbors(dst []VertexID, v VertexID) []VertexID {
+	out, in := g.out[v], []Neighbor(nil)
+	if g.directed {
+		in = g.in[v]
+	}
+	start := len(dst)
+	for i, j := 0, 0; i < len(out) || j < len(in); {
+		var w VertexID
+		if j == len(in) || (i < len(out) && out[i].To <= in[j].To) {
+			w, i = out[i].To, i+1
+		} else {
+			w, j = in[j].To, j+1
+		}
+		if len(dst) == start || dst[len(dst)-1] != w {
+			dst = append(dst, w)
 		}
 	}
-	return out
+	return dst
 }
 
 // searchNeighbor returns the first index in row whose To is >= w.
@@ -289,32 +303,4 @@ func searchNeighbor(row []Neighbor, w VertexID) int {
 		}
 	}
 	return lo
-}
-
-// mergeDistinct merges two sorted neighbor lists, dropping entries whose To
-// repeats.
-func mergeDistinct(a, b []Neighbor) []Neighbor {
-	out := make([]Neighbor, 0, len(a)+len(b))
-	i, j := 0, 0
-	push := func(n Neighbor) {
-		if len(out) == 0 || out[len(out)-1].To != n.To {
-			out = append(out, n)
-		}
-	}
-	for i < len(a) && j < len(b) {
-		if a[i].To <= b[j].To {
-			push(a[i])
-			i++
-		} else {
-			push(b[j])
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		push(a[i])
-	}
-	for ; j < len(b); j++ {
-		push(b[j])
-	}
-	return out
 }

@@ -75,13 +75,17 @@ func IsConnected(g *Graph) bool {
 		return true
 	}
 	seen := make([]bool, n)
-	stack := []VertexID{0}
+	// A vertex is pushed once and has fewer than n distinct neighbors, so
+	// the stack and the neighbor buffer each fit in n entries.
+	buf := make([]VertexID, 2*n)
+	stack, nbrs := buf[:1:n], buf[n:n]
 	seen[0] = true
 	count := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.UndirectedNeighbors(v) {
+		nbrs = g.AppendUndirectedNeighbors(nbrs[:0], v)
+		for _, w := range nbrs {
 			if !seen[w] {
 				seen[w] = true
 				count++

@@ -87,12 +87,24 @@ func (d *DAG) NumEdges() int {
 // store may be nil, in which case every non-adjacent pair is conservatively
 // treated as dependent (no cluster emptiness information).
 func BuildDAG(store *ccsr.Store, p *graph.Graph, order []graph.VertexID, variant graph.Variant) *DAG {
+	lp := newLabelPairs(p, store)
+	return buildDAG(p, order, variant, &lp)
+}
+
+func buildDAG(p *graph.Graph, order []graph.VertexID, variant graph.Variant, lp *labelPairs) *DAG {
 	if variant != graph.VertexInduced {
 		return buildEdgeDAG(p, order)
 	}
-	n := len(order)
-	d := NewDAG(p.NumVertices())
-	for j := 1; j < n; j++ {
+	return buildVertexDAG(p, order, lp)
+}
+
+// buildVertexDAG is BuildDAG for the vertex-induced variant. It probes
+// every ordered pair for adjacency, O(n²); lp answers the store once per
+// distinct label pair of the non-adjacent ones.
+func buildVertexDAG(p *graph.Graph, order []graph.VertexID, lp *labelPairs) *DAG {
+	start := make([]int32, len(order)+1)
+	var earlier []int32
+	for j := 1; j < len(order); j++ {
 		uj := order[j]
 		hasEarlierNeighbor := false
 		for i := 0; i < j; i++ {
@@ -102,55 +114,82 @@ func BuildDAG(store *ccsr.Store, p *graph.Graph, order []graph.VertexID, variant
 			}
 		}
 		for i := 0; i < j; i++ {
-			ui := order[i]
-			if p.Adjacent(ui, uj) {
-				d.AddEdge(int(ui), int(uj))
-				continue
-			}
-			if variant != graph.VertexInduced || !hasEarlierNeighbor {
-				continue
-			}
-			if store == nil || pairClustersNonEmpty(store, p.Label(ui), p.Label(uj)) {
-				d.AddEdge(int(ui), int(uj))
+			if p.Adjacent(order[i], uj) || (hasEarlierNeighbor && lp.nonEmpty(order[i], uj)) {
+				earlier = append(earlier, int32(i))
 			}
 		}
+		start[j+1] = int32(len(earlier))
 	}
-	return d
+	return dagFromEarlier(p.NumVertices(), order, earlier, start)
 }
 
 // buildEdgeDAG is BuildDAG for the variants whose only dependencies are
 // pattern edges. It walks each vertex's adjacency once with an order
-// position array, O(E log d) instead of O(n²) adjacency probes, and adds
-// each vertex's earlier neighbors in ascending position, as the pairwise
-// scan does, so the in and out lists come out in the same order.
+// position array, O(E log d) instead of O(n²) adjacency probes.
 func buildEdgeDAG(p *graph.Graph, order []graph.VertexID) *DAG {
-	d := NewDAG(p.NumVertices())
-	pos := make([]int, p.NumVertices())
+	n := p.NumVertices()
+	buf := make([]int32, n+len(order)+1)
+	pos, start := buf[:n], buf[n:]
 	for v := range pos {
-		pos[v] = len(order) // not in order: never earlier than anything
+		pos[v] = int32(len(order)) // not in order: never earlier than anything
 	}
 	for i, u := range order {
-		pos[u] = i
+		pos[u] = int32(i)
 	}
-	var earlier []int
+	bound := 0
+	for _, u := range order {
+		bound += len(p.Out(u))
+		if p.Directed() {
+			bound += len(p.In(u))
+		}
+	}
+	earlier := make([]int32, 0, bound)
 	for j, uj := range order {
-		earlier = earlier[:0]
+		s := len(earlier)
 		for _, nb := range p.Out(uj) {
-			if pos[nb.To] < j {
+			if pos[nb.To] < int32(j) {
 				earlier = append(earlier, pos[nb.To])
 			}
 		}
 		if p.Directed() {
 			for _, nb := range p.In(uj) {
-				if pos[nb.To] < j {
+				if pos[nb.To] < int32(j) {
 					earlier = append(earlier, pos[nb.To])
 				}
 			}
 		}
-		slices.Sort(earlier)
-		for _, i := range earlier {
-			d.AddEdge(int(order[i]), int(uj)) // repeats (parallel edges, arcs both ways) are ignored
+		slices.Sort(earlier[s:])
+		earlier = earlier[:s+len(slices.Compact(earlier[s:]))] // parallel edges, arcs both ways
+		start[j+1] = int32(len(earlier))
+	}
+	return dagFromEarlier(n, order, earlier, start)
+}
+
+// dagFromEarlier returns H over n vertices from each order position's
+// dependencies: earlier[start[j]:start[j+1]] are the positions i < j,
+// ascending and distinct, with an edge Φ[i] -> Φ[j]. The lists come out
+// as a pairwise scan over the order would add the edges, in (j, i) order.
+// earlier is rewritten in place into the in-lists, and the out-lists are
+// counted first and carved from one array.
+func dagFromEarlier(n int, order []graph.VertexID, earlier, start []int32) *DAG {
+	d := NewDAG(n)
+	outdeg := make([]int32, n)
+	for _, i := range earlier {
+		outdeg[order[i]]++
+	}
+	outs := make([]int32, len(earlier))
+	for v := range d.out {
+		d.out[v], outs = outs[:0:outdeg[v]], outs[outdeg[v]:]
+	}
+	for j, uj := range order {
+		in := earlier[start[j]:start[j+1]:start[j+1]]
+		for k, i := range in {
+			u := order[i]
+			in[k] = int32(u)
+			d.adj.set(int(u), int(uj))
+			d.out[u] = append(d.out[u], int32(uj))
 		}
+		d.in[uj] = in
 	}
 	return d
 }
@@ -162,6 +201,67 @@ func pairClustersNonEmpty(store *ccsr.Store, a, b graph.Label) bool {
 		}
 	}
 	return false
+}
+
+// labelPairs answers pairClustersNonEmpty once per distinct pair of the
+// pattern's vertex labels, however many vertex pairs ask: the
+// vertex-induced negation scan and the SCE statistics of one Optimize
+// share it. Labels are numbered densely (class) by sorting the distinct
+// ones, so the memo is an array and no map is built per plan. The SCE
+// statistics ask only about a label with itself; the k×k memo of mixed
+// pairs is allocated by the first question the negation scan asks.
+type labelPairs struct {
+	store *ccsr.Store
+	p     *graph.Graph
+	class []int32 // class[v] is the dense index of v's label
+	k     int
+	// Answers: 0 not yet asked, 1 some (a,b)*-cluster is non-empty, 2 none is.
+	same  []int8 // same[a] for the pair (a, a)
+	mixed []int8 // mixed[a*k+b] for a < b
+}
+
+func newLabelPairs(p *graph.Graph, store *ccsr.Store) labelPairs {
+	n := p.NumVertices()
+	buf := make([]int32, 2*n)
+	distinct, class := buf[:n], buf[n:]
+	for v, l := range p.Labels() {
+		distinct[v] = int32(l)
+	}
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	for v, l := range p.Labels() {
+		i, _ := slices.BinarySearch(distinct, int32(l))
+		class[v] = int32(i)
+	}
+	lp := labelPairs{store: store, p: p, class: class, k: len(distinct)}
+	if store != nil {
+		lp.same = make([]int8, lp.k)
+	}
+	return lp
+}
+
+// nonEmpty reports whether data edges can connect candidates of u and w:
+// whether some cluster between their labels is non-empty. Without a store
+// every pair conservatively can.
+func (lp *labelPairs) nonEmpty(u, w graph.VertexID) bool {
+	if lp.store == nil {
+		return true
+	}
+	a, b := int(lp.class[u]), int(lp.class[w])
+	memo, i := lp.same, a
+	if a != b {
+		if lp.mixed == nil {
+			lp.mixed = make([]int8, lp.k*lp.k)
+		}
+		memo, i = lp.mixed, min(a, b)*lp.k+max(a, b)
+	}
+	if memo[i] == 0 {
+		memo[i] = 2
+		if pairClustersNonEmpty(lp.store, lp.p.Label(u), lp.p.Label(w)) {
+			memo[i] = 1
+		}
+	}
+	return memo[i] == 1
 }
 
 // DescendantSizes implements Algorithm 3: for every pattern vertex, the
@@ -180,32 +280,44 @@ func (d *DAG) DescendantSizes() []int {
 // descendantSets returns, for each vertex, the bitset of its descendants.
 func (d *DAG) descendantSets() bitMatrix {
 	desc := newBitMatrix(d.n)
-	// Kahn peeling from childless vertices, as in Algorithm 3.
-	remaining := make([]int, d.n)
-	var frontier []int
+	// Kahn peeling from childless vertices, as in Algorithm 3: a vertex
+	// is queued once all its children are merged.
+	buf := make([]int32, 2*d.n)
+	remaining, queue := buf[:d.n], buf[d.n:d.n]
 	for v := 0; v < d.n; v++ {
-		remaining[v] = len(d.out[v])
+		remaining[v] = int32(len(d.out[v]))
 		if remaining[v] == 0 {
-			frontier = append(frontier, v)
+			queue = append(queue, int32(v))
 		}
 	}
-	for len(frontier) > 0 {
-		var next []int
-		for _, v := range frontier {
-			for _, c := range d.out[v] {
-				desc.set(v, int(c))
-				desc.or(v, int(c))
-			}
-			for _, p := range d.in[v] {
-				remaining[p]--
-				if remaining[p] == 0 {
-					next = append(next, int(p))
-				}
+	for head := 0; head < len(queue); head++ {
+		v := int(queue[head])
+		for _, c := range d.out[v] {
+			desc.set(v, int(c))
+			desc.or(v, int(c))
+		}
+		for _, p := range d.in[v] {
+			remaining[p]--
+			if remaining[p] == 0 {
+				queue = append(queue, p)
 			}
 		}
-		frontier = next
 	}
 	return desc
+}
+
+// ancestorSets returns, for each vertex, the bitset of its ancestors. It
+// merges in-lists in the given order, which must be a topological order
+// of d so that every parent's set is complete before its children read it.
+func (d *DAG) ancestorSets(order []graph.VertexID) bitMatrix {
+	anc := newBitMatrix(d.n)
+	for _, v := range order {
+		for _, p := range d.in[v] {
+			anc.set(int(v), int(p))
+			anc.or(int(v), int(p))
+		}
+	}
+	return anc
 }
 
 // IsTopologicalOrder reports whether order visits every H-parent before its

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 
 	"csce/internal/ccsr"
 	"csce/internal/graph"
@@ -24,84 +25,92 @@ func GeneratePlan(h *DAG, descSizes []int, store *ccsr.Store, p *graph.Graph) []
 	return generatePlan(h, descSizes, store, p, newEdgeSizes(p, store))
 }
 
+// generatePlan keeps the ready set in a heap under the four keys above,
+// a strict total order. Descendant sizes never change, and key 2 (ω, kept
+// per vertex) only falls, when a neighbor is ordered, so a ready vertex
+// only ever moves up. Label frequencies are looked up on ties only, once
+// per vertex. Selecting the order costs O((|V_P| + |E_H|) log |V_P| +
+// |E_P| log d).
 func generatePlan(h *DAG, descSizes []int, store *ccsr.Store, p *graph.Graph, es *edgeSizes) []graph.VertexID {
 	n := h.N()
+	st := &ldsfState{desc: descSizes, store: store, p: p, vs: make([]ldsfVertex, n)}
+	st.ready = newVertexHeap(st, make([]int32, 2*n))
+	for v := range st.vs {
+		st.vs[v] = ldsfVertex{omega: math.MaxInt, freq: -1, indeg: len(h.In(v))}
+		if st.vs[v].indeg == 0 {
+			st.ready.fix(graph.VertexID(v))
+		}
+	}
+
 	order := make([]graph.VertexID, 0, n)
-	inOrder := make([]bool, n)
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(h.In(v))
-	}
-	ready := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			ready = append(ready, v)
+	for {
+		v, ok := st.ready.top()
+		if !ok {
+			return order
 		}
-	}
-
-	labelFreq := func(v graph.VertexID) int {
-		if store != nil {
-			return store.LabelFrequency(p.Label(v))
-		}
-		return p.LabelFrequency(p.Label(v))
-	}
-	minClusterToOrdered := func(v graph.VertexID) int {
-		best := math.MaxInt
-		for k, uj := range es.nbrs[v] {
-			if inOrder[uj] {
-				best = min(best, es.size[v][k])
-			}
-		}
-		return best
-	}
-
-	for len(ready) > 0 {
-		// Scan the ready set for the LDSF winner. n is at most a few
-		// thousand, so the quadratic scan is cheaper than a keyed heap that
-		// would need re-prioritization as inOrder changes.
-		bestIdx := 0
-		bestOmega := minClusterToOrdered(graph.VertexID(ready[0]))
-		for i := 1; i < len(ready); i++ {
-			cur, best := ready[i], ready[bestIdx]
-			var curOmega int
-			switch {
-			case descSizes[cur] != descSizes[best]:
-				if descSizes[cur] > descSizes[best] {
-					bestIdx = i
-					bestOmega = minClusterToOrdered(graph.VertexID(cur))
-				}
+		st.ready.remove(v)
+		order = append(order, v)
+		st.vs[v].inOrder = true
+		// ω(w) is the smallest size, seen from w, of an edge between w and
+		// an ordered neighbor.
+		for _, w := range es.nbrs[v] {
+			vw := &st.vs[w]
+			if vw.inOrder {
 				continue
-			default:
-				curOmega = minClusterToOrdered(graph.VertexID(cur))
-				if curOmega != bestOmega {
-					if curOmega < bestOmega {
-						bestIdx, bestOmega = i, curOmega
-					}
-					continue
-				}
-				lf, lb := labelFreq(graph.VertexID(cur)), labelFreq(graph.VertexID(best))
-				if lf != lb {
-					if lf < lb {
-						bestIdx, bestOmega = i, curOmega
-					}
-					continue
-				}
-				if cur < best {
-					bestIdx, bestOmega = i, curOmega
+			}
+			k, _ := slices.BinarySearch(es.nbrs[w], v)
+			if size := es.size[w][k]; size < vw.omega {
+				vw.omega = size
+				if st.ready.has(w) {
+					st.ready.fix(w)
 				}
 			}
 		}
-
-		v := ready[bestIdx]
-		ready = append(ready[:bestIdx], ready[bestIdx+1:]...)
-		order = append(order, graph.VertexID(v))
-		inOrder[v] = true
-		for _, c := range h.Out(v) {
-			indeg[c]--
-			if indeg[c] == 0 {
-				ready = append(ready, int(c))
+		for _, c := range h.Out(int(v)) {
+			if st.vs[c].indeg--; st.vs[c].indeg == 0 {
+				st.ready.fix(graph.VertexID(c))
 			}
 		}
 	}
-	return order
+}
+
+// ldsfState holds the LDSF keys of every vertex.
+type ldsfState struct {
+	desc  []int
+	vs    []ldsfVertex
+	store *ccsr.Store
+	p     *graph.Graph
+	ready vertexHeap[*ldsfState]
+}
+
+type ldsfVertex struct {
+	omega   int // smallest cluster size to an ordered neighbor; math.MaxInt before the first
+	freq    int // label frequency, -1 until a tie needs it
+	indeg   int // H-parents not yet ordered
+	inOrder bool
+}
+
+// before reports whether a precedes b in the LDSF order.
+func (st *ldsfState) before(a, b graph.VertexID) bool {
+	switch va, vb := &st.vs[a], &st.vs[b]; {
+	case st.desc[a] != st.desc[b]:
+		return st.desc[a] > st.desc[b]
+	case va.omega != vb.omega:
+		return va.omega < vb.omega
+	}
+	if fa, fb := st.labelFreq(a), st.labelFreq(b); fa != fb {
+		return fa < fb
+	}
+	return a < b
+}
+
+func (st *ldsfState) labelFreq(v graph.VertexID) int {
+	if st.vs[v].freq < 0 {
+		if st.store != nil {
+			st.vs[v].freq = st.store.LabelFrequency(st.p.Label(v))
+		} else {
+			st.vs[v].freq = st.p.LabelFrequency(st.p.Label(v))
+		}
+	}
+	return st.vs[v].freq
 }

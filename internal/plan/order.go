@@ -12,10 +12,13 @@ import (
 // tie-breaking (Eq. 2), and the RapidMatch-style order used as the Fig. 13
 // baseline.
 //
-// GCF is implemented incrementally: the Eq. 1 counters of every unordered
-// vertex are maintained as the order grows, so selecting a full order costs
-// O(|V_P| * |E_P|) instead of the naive cubic scan — the difference between
-// seconds and hours for the paper's 2000-vertex patterns (Fig. 10).
+// GCF scores only the frontier — unordered vertices with at least one
+// ordered neighbor — and keeps each frontier vertex's Eq. 1/Eq. 2 score in
+// an indexed heap. Taking u changes only the scores of u's unordered
+// neighbors (their |T1|, ω1 and T2/T3 lists) and of the unordered neighbors
+// of every vertex that u just made adjacent to the order (it moves from
+// their T3 to their T2), so only those are rescored: a full order costs
+// O(Σ_v d(v)² + |E_P| log |V_P|).
 
 // GCF computes a Greatest-Constraint-First matching order for pattern p.
 // When store is non-nil, ties are broken using cluster sizes (Eq. 2);
@@ -30,91 +33,137 @@ func gcf(es *edgeSizes) []graph.VertexID {
 	if n == 0 {
 		return nil
 	}
-	st := &gcfState{
-		es:         es,
-		inOrder:    make([]bool, n),
-		adjToOrder: make([]bool, n),
-		t1:         make([]int, n),
-		om1:        make([]int, n),
-	}
-	for v := range st.om1 {
-		st.om1[v] = math.MaxInt
-	}
-
-	// First vertex: highest degree; cluster tie-break minimizes the
-	// smallest incident cluster size.
-	best := -1
-	bestDeg := -1
-	bestOmega := math.MaxInt
-	for v := 0; v < n; v++ {
-		deg := len(es.nbrs[v])
-		omega := es.minIncident(graph.VertexID(v))
-		if deg > bestDeg || (deg == bestDeg && omega < bestOmega) {
-			best, bestDeg, bestOmega = v, deg, omega
-		}
-	}
+	st := newGCFState(es)
 	order := make([]graph.VertexID, 0, n)
-	order = st.take(order, graph.VertexID(best))
 	for len(order) < n {
-		order = st.take(order, st.pick())
+		u, ok := st.frontier.top()
+		if !ok {
+			u = st.seed()
+		}
+		order = st.take(order, u)
 	}
 	return order
 }
 
 // gcfState carries the incrementally maintained Eq. 1/Eq. 2 quantities.
 type gcfState struct {
-	es *edgeSizes
-
-	inOrder    []bool
-	adjToOrder []bool // vertex has >= 1 ordered neighbor
-	t1         []int  // |T1|: ordered neighbors (valid for unordered vertices)
-	om1        []int  // omega1: min cluster size over edges to ordered neighbors
+	es       *edgeSizes
+	vs       []gcfVertex
+	frontier vertexHeap[*gcfState]
+	dirty    []int32 // vertices the current take rescores
+	round    int32
 }
 
-// take appends u to the order and updates neighbor counters.
-func (st *gcfState) take(order []graph.VertexID, u graph.VertexID) []graph.VertexID {
-	st.inOrder[u] = true
-	for k, w := range st.es.nbrs[u] {
-		st.adjToOrder[w] = true
-		if !st.inOrder[w] {
-			st.t1[w]++
-			st.om1[w] = min(st.om1[w], st.es.size[u][k])
+// gcfVertex is one vertex's share of the state.
+type gcfVertex struct {
+	score      gcfScore // the frontier heap's key, rewritten only by rescore
+	t1         int      // |T1|: ordered neighbors (valid for unordered vertices)
+	om1        int      // omega1: min cluster size over edges to ordered neighbors
+	mark       int32    // mark == round: the vertex is already in dirty
+	inOrder    bool
+	adjToOrder bool // the vertex has >= 1 ordered neighbor
+}
+
+func newGCFState(es *edgeSizes) *gcfState {
+	n := len(es.nbrs)
+	st := &gcfState{es: es, vs: make([]gcfVertex, n)}
+	buf := make([]int32, 3*n) // a vertex is marked dirty once per take
+	st.frontier = newVertexHeap(st, buf[:2*n])
+	st.dirty = buf[2*n : 2*n]
+	for v := range st.vs {
+		st.vs[v].om1 = math.MaxInt
+	}
+	return st
+}
+
+// before orders the frontier heap: a before b when a wins Eq. 1/Eq. 2.
+func (st *gcfState) before(a, b graph.VertexID) bool {
+	return gcfLess(&st.vs[b].score, &st.vs[a].score)
+}
+
+// seed picks the vertex that starts a component: highest degree, then the
+// smallest incident cluster size (Eq. 2), then the smallest ID. It runs
+// when the frontier is empty — for the first vertex, and in a disconnected
+// pattern for the first of each further component, where every unordered
+// vertex has |T1| = |T2| = 0 and |T3| = its degree, so this is the Eq. 1
+// cascade itself.
+func (st *gcfState) seed() graph.VertexID {
+	best, bestDeg, bestOmega := -1, -1, math.MaxInt
+	for v, ns := range st.es.nbrs {
+		if st.vs[v].inOrder {
+			continue
 		}
+		if omega := st.es.minIncident(graph.VertexID(v)); len(ns) > bestDeg || (len(ns) == bestDeg && omega < bestOmega) {
+			best, bestDeg, bestOmega = v, len(ns), omega
+		}
+	}
+	return graph.VertexID(best)
+}
+
+// take appends u to the order, updates its neighbors' counters, and
+// rescores the frontier vertices whose score u's move changed. Keys are
+// rewritten one at a time, each followed by its heap fix: a fix assumes
+// every other key is where the heap has it.
+func (st *gcfState) take(order []graph.VertexID, u graph.VertexID) []graph.VertexID {
+	st.vs[u].inOrder = true
+	st.frontier.remove(u)
+	st.round++
+	st.dirty = st.dirty[:0]
+	for k, w := range st.es.nbrs[u] {
+		vw := &st.vs[w]
+		newlyAdjacent := !vw.adjToOrder
+		vw.adjToOrder = true
+		if vw.inOrder {
+			continue
+		}
+		vw.t1++
+		vw.om1 = min(vw.om1, st.es.size[u][k])
+		st.markDirty(w)
+		if newlyAdjacent {
+			// w moves from T3 to T2 for each of its unordered neighbors;
+			// those with |T1| = 0 are not on the frontier and are scored
+			// when they join it.
+			for _, x := range st.es.nbrs[w] {
+				if !st.vs[x].inOrder && st.vs[x].t1 > 0 {
+					st.markDirty(x)
+				}
+			}
+		}
+	}
+	for _, x := range st.dirty {
+		st.rescore(graph.VertexID(x))
+		st.frontier.fix(graph.VertexID(x))
 	}
 	return append(order, u)
 }
 
-// pick scores every unordered vertex with the three RI counters of Eq. 1
-// and the cluster tie-breakers of Eq. 2, returning the winner.
-func (st *gcfState) pick() graph.VertexID {
-	var best *gcfScore
-	for x := 0; x < len(st.inOrder); x++ {
-		if st.inOrder[x] {
+func (st *gcfState) markDirty(x graph.VertexID) {
+	if st.vs[x].mark != st.round {
+		st.vs[x].mark = st.round
+		st.dirty = append(st.dirty, int32(x))
+	}
+}
+
+// rescore recomputes x's score. T2 holds the unordered neighbors uj of x
+// that are also adjacent to some ordered vertex, T3 the others.
+func (st *gcfState) rescore(x graph.VertexID) {
+	vx := &st.vs[x]
+	s := gcfScore{v: x, t1: vx.t1, om1: vx.om1, om2: math.MaxInt, om3: math.MaxInt}
+	for k, uj := range st.es.nbrs[x] {
+		vj := &st.vs[uj]
+		if vj.inOrder {
 			continue
 		}
-		ux := graph.VertexID(x)
-		s := gcfScore{v: ux, t1: st.t1[x], om1: st.om1[x], om2: math.MaxInt, om3: math.MaxInt}
-		// T2 and T3 classify the unordered neighbors uj of ux: T2 if uj is
-		// also adjacent to some ordered vertex, T3 otherwise.
-		for k, uj := range st.es.nbrs[ux] {
-			if st.inOrder[uj] {
-				continue
-			}
-			w := st.es.size[ux][k]
-			if st.adjToOrder[uj] {
-				s.t2++
-				s.om2 = min(s.om2, w)
-			} else {
-				s.t3++
-				s.om3 = min(s.om3, w)
-			}
-		}
-		if best == nil || gcfLess(best, &s) {
-			cp := s
-			best = &cp
+		w := st.es.size[x][k]
+		if vj.adjToOrder {
+			s.t2++
+			s.om2 = min(s.om2, w)
+		} else {
+			s.t3++
+			s.om3 = min(s.om3, w)
 		}
 	}
-	return best.v
+	vx.score = s
 }
 
 // gcfScore carries the Eq. 1 counters and Eq. 2 tie-breakers of one
@@ -222,17 +271,23 @@ type edgeSizes struct {
 
 func newEdgeSizes(p *graph.Graph, store *ccsr.Store) *edgeSizes {
 	n := p.NumVertices()
+	bound := 0
+	for v := 0; v < n; v++ {
+		bound += len(p.Out(graph.VertexID(v)))
+		if p.Directed() {
+			bound += len(p.In(graph.VertexID(v)))
+		}
+	}
 	es := &edgeSizes{nbrs: make([][]graph.VertexID, n), size: make([][]int, n)}
+	flat := make([]graph.VertexID, 0, bound)
 	for v := range es.nbrs {
-		es.nbrs[v] = p.UndirectedNeighbors(graph.VertexID(v))
+		start := len(flat)
+		flat = p.AppendUndirectedNeighbors(flat, graph.VertexID(v))
+		es.nbrs[v] = flat[start:len(flat):len(flat)]
 	}
-	total := 0
-	for _, ns := range es.nbrs {
-		total += len(ns)
-	}
-	flat := make([]int, total)
+	sizes := make([]int, len(flat))
 	for v, ns := range es.nbrs {
-		es.size[v], flat = flat[:len(ns):len(ns)], flat[len(ns):]
+		es.size[v], sizes = sizes[:len(ns):len(ns)], sizes[len(ns):]
 		for k, w := range ns {
 			es.size[v][k] = math.MaxInt
 			if store != nil {

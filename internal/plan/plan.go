@@ -136,7 +136,8 @@ func Optimize(p *graph.Graph, store *ccsr.Store, variant graph.Variant, mode Mod
 		initial = gcf(es)
 	}
 
-	h := BuildDAG(store, p, initial, variant)
+	lp := newLabelPairs(p, store)
+	h := buildDAG(p, initial, variant, &lp)
 	desc := h.DescendantSizes()
 
 	order := initial
@@ -153,7 +154,7 @@ func Optimize(p *graph.Graph, store *ccsr.Store, variant graph.Variant, mode Mod
 		DescendantSizes: desc,
 		NECClasses:      NEC(p),
 	}
-	pl.SCE = computeSCE(pl, store)
+	pl.SCE = computeSCE(pl, &lp)
 	return pl, nil
 }
 
@@ -171,7 +172,8 @@ func FromOrder(p *graph.Graph, store *ccsr.Store, variant graph.Variant, order [
 		}
 		seen[v] = true
 	}
-	h := BuildDAG(store, p, order, variant)
+	lp := newLabelPairs(p, store)
+	h := buildDAG(p, order, variant, &lp)
 	pl := &Plan{
 		Pattern:         p,
 		Variant:         variant,
@@ -180,7 +182,7 @@ func FromOrder(p *graph.Graph, store *ccsr.Store, variant graph.Variant, order [
 		DescendantSizes: h.DescendantSizes(),
 		NECClasses:      NEC(p),
 	}
-	pl.SCE = computeSCE(pl, store)
+	pl.SCE = computeSCE(pl, &lp)
 	return pl, nil
 }
 
@@ -190,31 +192,44 @@ func FromOrder(p *graph.Graph, store *ccsr.Store, variant graph.Variant, order [
 // independence also guarantees injectivity for free — every independent
 // predecessor either carries a different label or shares no data edges
 // (empty (ui,uj)*-clusters).
-func computeSCE(pl *Plan, store *ccsr.Store) SCEStats {
+//
+// Every H-ancestor of Φ[j] precedes it in Φ (Φ is a topological order of
+// H), so Φ[j] has exactly j - |anc(Φ[j])| independent predecessors. The
+// cluster condition fails only through an earlier independent vertex with
+// Φ[j]'s label, looked for along the chain of earlier same-label positions
+// and charged only when that label's own clusters are non-empty (asked
+// once per label through lp). Building the ancestor sets costs
+// O(|E_H| · |V_P|/64) words.
+func computeSCE(pl *Plan, lp *labelPairs) SCEStats {
 	n := len(pl.Order)
 	stats := SCEStats{PatternVertices: n, TotalPairs: n * (n - 1) / 2}
-	desc := pl.DAG.descendantSets()
-	p := pl.Pattern
+	anc := pl.DAG.ancestorSets(pl.Order)
+	// prev[j] is the last position before j with Φ[j]'s label, or -1.
+	buf := make([]int32, n+lp.k)
+	prev, last := buf[:n], buf[n:]
+	for i := range last {
+		last[i] = -1
+	}
+	for j, u := range pl.Order {
+		prev[j], last[lp.class[u]] = last[lp.class[u]], int32(j)
+	}
 	for j := 1; j < n; j++ {
 		uj := pl.Order[j]
-		hasSCE := false
+		independent := j - anc.popcount(int(uj))
+		if independent == 0 {
+			continue
+		}
+		stats.IndependentPairs += independent
+		stats.SCEVertices++
 		clusterOK := true
-		for i := 0; i < j; i++ {
-			ui := pl.Order[i]
-			if desc.get(int(ui), int(uj)) {
-				continue // dependent: a path ui ->* uj exists
-			}
-			hasSCE = true
-			stats.IndependentPairs++
-			if p.Label(ui) == p.Label(uj) && (store == nil || pairClustersNonEmpty(store, p.Label(ui), p.Label(uj))) {
-				clusterOK = false
+		for i := prev[j]; i >= 0; i = prev[i] {
+			if !anc.get(int(uj), int(pl.Order[i])) {
+				clusterOK = !lp.nonEmpty(uj, uj)
+				break
 			}
 		}
-		if hasSCE {
-			stats.SCEVertices++
-			if clusterOK {
-				stats.ClusterSCEVertices++
-			}
+		if clusterOK {
+			stats.ClusterSCEVertices++
 		}
 	}
 	return stats
