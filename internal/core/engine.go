@@ -101,9 +101,14 @@ type MatchOptions struct {
 	Context context.Context
 	// PreparedPlan, when non-nil, skips the optimization stage and executes
 	// this plan directly. It must have been produced by plan.Optimize (or
-	// plan.FromOrder) for the same pattern, store, and variant — the serving
-	// layer's plan cache uses this to amortize GCF/DAG/LDSF across repeated
-	// patterns.
+	// plan.FromOrder) for the same pattern and variant — the serving layer's
+	// plan cache uses this to amortize GCF/DAG/LDSF across repeated
+	// patterns. A vertex-induced plan must also come from the same store:
+	// its DAG holds that store's negation clusters. Any other plan may come
+	// from any store over the same labels, since the executor reads only
+	// its order, DAG and NEC classes, and the store only steers which
+	// connected order is chosen; the sharded coordinator runs one
+	// homomorphic twig plan on every shard this way.
 	PreparedPlan *plan.Plan
 	// OnEmbedding receives each embedding, indexed by pattern vertex ID.
 	// Return false to stop. Disables factorized counting.

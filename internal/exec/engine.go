@@ -126,8 +126,12 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 		levels:  make([]level, n),
 		mapping: make([]graph.VertexID, n),
 		byVert:  make([]graph.VertexID, p.NumVertices()),
-		used:    make([]bool, view.NumVertices()),
 		version: make([]uint64, n),
+	}
+	if pl.Variant.Injective() {
+		// Only injective variants read used; a homomorphic run skips the
+		// |V|-sized allocation and its zeroing.
+		e.used = make([]bool, view.NumVertices())
 	}
 	if opts.TimeLimit > 0 {
 		e.deadline = time.Now().Add(opts.TimeLimit)

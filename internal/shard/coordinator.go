@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -171,35 +172,29 @@ func Open(name string, base *ccsr.Store, opts Options) (*Coordinator, error) {
 // and extends the ownership map past the base partition.
 func (c *Coordinator) reconcileRecovered() error {
 	counts := make([]int, c.k)
-	maxN, ref := 0, 0
+	ref := 0
 	for i, sh := range c.locals {
-		st, _, release := sh.engineSnapshot()
+		st, release := sh.engineSnapshot()
 		counts[i] = st.NumVertices()
 		release()
-		if counts[i] > maxN {
-			maxN, ref = counts[i], i
+		if counts[i] > counts[ref] {
+			ref = i
 		}
 	}
-	if maxN > c.own.len() {
-		refStore, _, release := c.locals[ref].engineSnapshot()
-		extra := make([]uint16, 0, maxN-c.own.len())
-		for v := c.own.len(); v < maxN; v++ {
-			l := refStore.VertexLabel(graph.VertexID(v))
-			extra = append(extra, uint16(c.scheme.assign(graph.VertexID(v), l, c.k)))
-		}
-		release()
-		c.own.append(extra...)
+	refStore, release := c.locals[ref].engineSnapshot()
+	defer release()
+	label := func(v int) graph.Label { return refStore.VertexLabel(graph.VertexID(v)) }
+	for v := len(c.own.snapshot()); v < counts[ref]; v++ {
+		c.own.append(uint16(c.scheme.assign(graph.VertexID(v), label(v), c.k)))
 	}
 	for i, sh := range c.locals {
-		if counts[i] == maxN {
+		if counts[i] == counts[ref] {
 			continue
 		}
-		refStore, _, release := c.locals[ref].engineSnapshot()
-		muts := make([]live.Mutation, 0, maxN-counts[i])
-		for v := counts[i]; v < maxN; v++ {
-			muts = append(muts, live.Mutation{Op: live.OpAddVertex, VertexLabel: refStore.VertexLabel(graph.VertexID(v))})
+		muts := make([]live.Mutation, 0, counts[ref]-counts[i])
+		for v := counts[i]; v < counts[ref]; v++ {
+			muts = append(muts, live.Mutation{Op: live.OpAddVertex, VertexLabel: label(v)})
 		}
-		release()
 		if _, err := sh.ApplyBatch(context.Background(), muts); err != nil {
 			return fmt.Errorf("shard: reconcile shard %d vertices: %w", i, err)
 		}
@@ -216,7 +211,7 @@ func (c *Coordinator) seedCounters() {
 		localVerts[o]++
 	}
 	for i, sh := range c.locals {
-		st, _, release := sh.engineSnapshot()
+		st, release := sh.engineSnapshot()
 		boundary := 0
 		st.EdgesAll(func(src, dst graph.VertexID, _ graph.EdgeLabel) {
 			if owners[src] != owners[dst] {
@@ -258,27 +253,15 @@ func (c *Coordinator) EpochVector() []uint64 {
 // cross-shard edge is stored twice and counted by both owners' boundary
 // gauges, so the global count is Σ stored − Σ boundary / 2.
 func (c *Coordinator) Counts() (vertices, edges int) {
-	vertices = c.own.len()
+	vertices = len(c.own.snapshot())
 	stored, boundary := 0, 0
 	for _, sh := range c.locals {
-		st, _, release := sh.engineSnapshot()
+		st, release := sh.engineSnapshot()
 		stored += st.NumEdges()
 		release()
 		boundary += int(sh.boundary.Load())
 	}
 	return vertices, stored - boundary/2
-}
-
-// ShardStats returns every shard's stats, served from the epoch-keyed
-// cache: a shard's summary is recomputed only after it commits a new
-// epoch (purely monotonic live counters may lag one epoch).
-func (c *Coordinator) ShardStats() []Stats {
-	out := make([]Stats, c.k)
-	for i := range c.locals {
-		st, _ := c.cachedShardStats(i)
-		out[i] = st
-	}
-	return out
 }
 
 func (c *Coordinator) cachedShardStats(i int) (Stats, map[graph.Label]int) {
@@ -291,7 +274,7 @@ func (c *Coordinator) cachedShardStats(i int) (Stats, map[graph.Label]int) {
 	c.statsMu.Unlock()
 	// Recompute outside the lock: Stats pins a snapshot and copies maps.
 	st := c.locals[i].Stats()
-	store, _, release := c.locals[i].engineSnapshot()
+	store, release := c.locals[i].engineSnapshot()
 	freq := store.LabelFrequencies()
 	release()
 	c.statsMu.Lock()
@@ -346,9 +329,15 @@ type CoordStats struct {
 	Shards         []Stats `json:"shards"`
 }
 
-// Stats returns the coordinator document, including per-shard stats.
+// Stats returns the coordinator document. Per-shard stats come from the
+// epoch-keyed cache: a shard's summary is recomputed only after it commits
+// a new epoch (purely monotonic live counters may lag one epoch).
 func (c *Coordinator) Stats() CoordStats {
 	v, e := c.Counts()
+	shards := make([]Stats, c.k)
+	for i := range shards {
+		shards[i], _ = c.cachedShardStats(i)
+	}
 	return CoordStats{
 		K:                c.k,
 		Scheme:           c.scheme.String(),
@@ -363,7 +352,7 @@ func (c *Coordinator) Stats() CoordStats {
 		DecompHits:       c.decomp.Hits(),
 		DecompMisses:     c.decomp.Misses(),
 		DecompSize:       c.decomp.Len(),
-		Shards:           c.ShardStats(),
+		Shards:           shards,
 	}
 }
 
@@ -379,7 +368,7 @@ type MatchOptions struct {
 	// Variant selects edge-induced or homomorphic matching;
 	// vertex-induced returns ErrVertexInduced.
 	Variant graph.Variant
-	// Mode selects each shard's local plan-optimization pipeline.
+	// Mode selects the plan-optimization pipeline of every twig's plan.
 	Mode plan.Mode
 	// Limit stops after this many embeddings (0 = all), exact.
 	Limit uint64
@@ -413,7 +402,7 @@ type MatchResult struct {
 	// epoch-vector-keyed cache.
 	DecompCacheHit bool
 	// PlanTime covers the decomposition: the cache lookup, plus Decompose
-	// on a miss.
+	// and the twig plans on a miss.
 	PlanTime time.Duration
 	// RejectedBy names the admission pre-filter that proved the pattern
 	// unmatchable before any decomposition or scatter ("" when the query
@@ -424,11 +413,32 @@ type MatchResult struct {
 	JoinTime    time.Duration
 }
 
-// Match runs one pattern over all shards: decompose (cached by pattern +
-// variant + mode + epoch vector), scatter every twig to every shard in
-// parallel, then join the partials on shared query vertices, streaming
-// full embeddings. When ctx carries an obs.Trace, "shard.scatter",
-// per-shard "shard.local", and "shard.join" spans record the breakdown.
+// decompose covers p with twigs and plans each once, homomorphically, on
+// shard 0's store; DESIGN.md ("Epoch-vector decomposition cache") says why
+// one plan is exact on every shard.
+func (c *Coordinator) decompose(p *graph.Graph, mode plan.Mode) (*Decomposition, error) {
+	freq := c.aggregateLabelFreq()
+	dec, err := Decompose(p, func(l graph.Label) int { return freq[l] })
+	if err != nil {
+		return nil, err
+	}
+	store, release := c.locals[0].engineSnapshot()
+	defer release()
+	for i := range dec.Twigs {
+		tw := &dec.Twigs[i]
+		if tw.Plan, err = plan.Optimize(tw.Sub, store, graph.Homomorphic, mode); err != nil {
+			return nil, fmt.Errorf("shard: plan twig %d: %w", i, err)
+		}
+	}
+	return dec, nil
+}
+
+// Match runs one pattern over all shards: decompose and plan the twigs
+// (cached by pattern + variant + mode + epoch vector), scatter every twig
+// to every shard in parallel, then join the partials on shared query
+// vertices, streaming full embeddings. When ctx carries an obs.Trace,
+// "shard.scatter", per-shard "shard.local", and "shard.join" spans record
+// the breakdown.
 // Cancellation mid-search is graceful: partial counts return with
 // Cancelled set and a nil error, mirroring core.Match.
 func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptions) (MatchResult, error) {
@@ -467,10 +477,8 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	key := decompKey(opts.Variant, opts.Mode, c.EpochVector(), p)
 	dec, hit := c.decomp.Get(key)
 	if !hit {
-		freq := c.aggregateLabelFreq()
 		var err error
-		dec, err = Decompose(p, func(l graph.Label) int { return freq[l] })
-		if err != nil {
+		if dec, err = c.decompose(p, opts.Mode); err != nil {
 			endDecomp()
 			return res, err
 		}
@@ -488,7 +496,7 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	// nest under the shard that ran them.
 	scatterCtx, endScatter := obs.StartSpanCtx(ctx, "shard.scatter")
 	scatterStart := time.Now()
-	req := PartialRequest{Twigs: dec.Twigs, Mode: opts.Mode, Workers: opts.Workers}
+	req := PartialRequest{Twigs: dec.Twigs, Workers: opts.Workers}
 	results := make([]PartialResult, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -500,8 +508,8 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 			localStart := time.Now()
 			results[i], errs[i] = sh.MatchPartial(localCtx, req)
 			var rows uint64
-			for _, tw := range results[i].Twigs {
-				rows += uint64(len(tw.Rows))
+			for ti, tw := range results[i].Twigs {
+				rows += uint64(len(tw.Flat) / len(dec.Twigs[ti].QVerts))
 			}
 			endLocal(obs.Int("shard", int64(i)),
 				obs.Int("epoch", int64(results[i].Epoch)),
@@ -523,32 +531,35 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	for i, r := range results {
 		res.Epochs[i] = r.Epoch
 		res.Steps += r.Steps
-		if r.Cancelled {
-			res.Cancelled = true
-		}
+		res.Cancelled = res.Cancelled || r.Cancelled
 	}
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			res.Cancelled = true
-			continue
+		case err != nil:
+			return res, err
 		}
-		return res, err
 	}
 	if res.Cancelled {
 		return res, nil
 	}
 
-	// Assemble per-twig relations across shards.
+	// Assemble one relation per twig from the shards' slabs.
 	rels := make([]partialRel, len(dec.Twigs))
 	for ti, tw := range dec.Twigs {
-		rels[ti].cols = tw.QVerts
+		n := 0
 		for _, r := range results {
-			rels[ti].rows = append(rels[ti].rows, r.Twigs[ti].Rows...)
+			n += len(r.Twigs[ti].Flat)
 		}
-		res.Partials += uint64(len(rels[ti].rows))
+		if n/len(tw.QVerts) > math.MaxInt32 {
+			return res, fmt.Errorf("shard: twig %d matched %d rows; the join links at most 2^31-1", ti, n/len(tw.QVerts))
+		}
+		rels[ti] = partialRel{cols: tw.QVerts, flat: make([]graph.VertexID, 0, n)}
+		for _, r := range results {
+			rels[ti].flat = append(rels[ti].flat, r.Twigs[ti].Flat...)
+		}
+		res.Partials += uint64(rels[ti].rows())
 	}
 	c.partials.Add(res.Partials)
 

@@ -12,6 +12,7 @@ import (
 	"csce/internal/dataset"
 	"csce/internal/graph"
 	"csce/internal/live"
+	"csce/internal/plan"
 )
 
 func openCoord(t *testing.T, g *graph.Graph, k int, scheme Scheme) *Coordinator {
@@ -119,6 +120,51 @@ func TestExactnessCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedTwigPlansExact checks that the twig plans the coordinator
+// builds once per decomposition, against one shard's store, are exact on
+// every shard: for every plan mode, the sharded count with the
+// decomposition cache on (a miss, then a hit on the cached plans) equals
+// the count with the cache off and the single-store count.
+func TestSharedTwigPlansExact(t *testing.T) {
+	spec := exactnessCorpus()[3] // cite: directed, six vertex labels
+	g := spec.Generate()
+	patterns := samplePatterns(t, g, spec.Seed)
+	modes := []plan.Mode{plan.ModeCSCE, plan.ModeRI, plan.ModeRICluster, plan.ModeRM, plan.ModeCostBased}
+	variants := []graph.Variant{graph.EdgeInduced, graph.Homomorphic}
+	for _, k := range []int{2, 4} {
+		for _, scheme := range []Scheme{SchemeID, SchemeLabel} {
+			cached := openCoord(t, g, k, scheme)
+			uncached, err := Open("test", ccsr.Build(g), Options{K: k, Scheme: scheme, PlanCacheSize: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(uncached.Close)
+			for i, p := range patterns {
+				for _, v := range variants {
+					for _, mode := range modes {
+						res, err := core.FromStore(ccsr.Build(g)).Match(p, core.MatchOptions{Variant: v, Mode: mode})
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts := MatchOptions{Variant: v, Mode: mode}
+						miss := shardedCount(t, cached, p, opts)
+						hit := shardedCount(t, cached, p, opts)
+						fresh := shardedCount(t, uncached, p, opts)
+						if miss != res.Embeddings || hit != res.Embeddings || fresh != res.Embeddings {
+							t.Errorf("k=%d scheme=%s pattern=%d %v %v: cache miss %d, hit %d, off %d, single store %d",
+								k, scheme, i, v, mode, miss, hit, fresh, res.Embeddings)
+						}
+					}
+				}
+			}
+			if st := cached.Stats(); st.DecompHits != st.DecompMisses || st.DecompHits == 0 {
+				t.Errorf("k=%d scheme=%s: %d decomposition hits, %d misses; every second match should hit",
+					k, scheme, st.DecompHits, st.DecompMisses)
+			}
+		}
 	}
 }
 
@@ -327,7 +373,7 @@ func TestMutateEquivalence(t *testing.T) {
 	// Boundary gauges must equal a fresh scan.
 	ownersNow := c.own.snapshot()
 	for i, sh := range c.locals {
-		st, _, release := sh.engineSnapshot()
+		st, release := sh.engineSnapshot()
 		want := 0
 		st.EdgesAll(func(src, dst graph.VertexID, _ graph.EdgeLabel) {
 			if ownersNow[src] != ownersNow[dst] {

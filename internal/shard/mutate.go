@@ -68,8 +68,8 @@ func (c *Coordinator) Mutate(ctx context.Context, muts []live.Mutation) (BatchRe
 		defer c.vmu.RUnlock()
 	}
 
-	base := c.own.len()
 	owners := c.own.snapshot()
+	base := len(owners)
 	batches := make([][]live.Mutation, c.k)
 	var newOwners []uint16
 	var cross []crossOp

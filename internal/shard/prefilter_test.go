@@ -203,7 +203,7 @@ func TestPrefilterConcurrentChecks(t *testing.T) {
 		}
 	}
 	for i, sh := range c.locals {
-		st, _, release := sh.engineSnapshot()
+		st, release := sh.engineSnapshot()
 		want := prefilter.Build(st)
 		release()
 		if got, wantS := sh.g.Prefilter().Dump(), want.Dump(); got != wantS {

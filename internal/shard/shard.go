@@ -108,12 +108,6 @@ func (o *ownership) snapshot() []uint16 {
 	return o.owners
 }
 
-func (o *ownership) len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.owners)
-}
-
 func (o *ownership) append(owners ...uint16) {
 	o.mu.Lock()
 	o.owners = append(o.owners, owners...)
@@ -138,6 +132,9 @@ type Twig struct {
 	Root graph.VertexID
 	// QVerts maps Sub vertex index -> original pattern vertex.
 	QVerts []graph.VertexID
+	// Plan is Sub's homomorphic plan, set by the coordinator (required by
+	// MatchPartial): every shard executes it as it is.
+	Plan *plan.Plan
 }
 
 // PartialRequest asks a shard to match every twig of one query against a
@@ -145,15 +142,14 @@ type Twig struct {
 // epoch.
 type PartialRequest struct {
 	Twigs []Twig
-	// Mode selects the local plan-optimization pipeline.
-	Mode plan.Mode
 	// Workers sizes the shard-local parallel executor (<=1 serial).
 	Workers int
 }
 
-// TwigMatches holds one twig's shard-local rows, aligned to Twig.QVerts.
+// TwigMatches holds one twig's shard-local rows back to back, each
+// len(Twig.QVerts) ids aligned to Twig.QVerts.
 type TwigMatches struct {
-	Rows [][]graph.VertexID
+	Flat []graph.VertexID
 }
 
 // PartialResult is one shard's answer: per-twig rows rooted at vertices
@@ -186,7 +182,7 @@ type Stats struct {
 // coordinator needs, so a future remote shard (its own csced process)
 // only has to carry these three calls over the wire.
 type Shard interface {
-	// MatchPartial matches every requested twig homomorphically against
+	// MatchPartial matches every requested twig with its plan against
 	// one pinned snapshot, returning only rows rooted at vertices the
 	// shard owns.
 	MatchPartial(ctx context.Context, req PartialRequest) (PartialResult, error)
@@ -218,28 +214,33 @@ func (sh *localShard) MatchPartial(ctx context.Context, req PartialRequest) (Par
 	eng := snap.Engine()
 	owners := sh.own.snapshot()
 	out := PartialResult{Epoch: snap.Epoch(), Twigs: make([]TwigMatches, len(req.Twigs))}
+	// Every twig's rows go to one slab; each twig keeps its capped run.
+	var slab []graph.VertexID
+	var root graph.VertexID
+	// OnEmbedding is serialized by the executor even with Workers>1.
+	keep := func(m []graph.VertexID) bool {
+		if r := m[root]; int(r) < len(owners) && int(owners[r]) == sh.id {
+			slab = append(slab, m...) // else another shard owns this root
+		}
+		return true
+	}
 	for ti, tw := range req.Twigs {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		var rows [][]graph.VertexID
-		root := tw.Root
+		if tw.Plan == nil {
+			return out, fmt.Errorf("shard: twig %d has no plan", ti)
+		}
+		lo := len(slab)
+		root = tw.Root
 		res, err := eng.Match(tw.Sub, core.MatchOptions{
 			// Twigs always match homomorphically: injectivity is a property
 			// of the full embedding and is enforced at the join.
-			Variant: graph.Homomorphic,
-			Mode:    req.Mode,
-			Workers: req.Workers,
-			Context: ctx,
-			// OnEmbedding is serialized by the executor even with Workers>1.
-			OnEmbedding: func(m []graph.VertexID) bool {
-				r := m[root]
-				if int(r) >= len(owners) || int(owners[r]) != sh.id {
-					return true // another shard owns this root
-				}
-				rows = append(rows, append([]graph.VertexID(nil), m...))
-				return true
-			},
+			Variant:      graph.Homomorphic,
+			PreparedPlan: tw.Plan,
+			Workers:      req.Workers,
+			Context:      ctx,
+			OnEmbedding:  keep,
 		})
 		if err != nil {
 			return out, err
@@ -249,7 +250,7 @@ func (sh *localShard) MatchPartial(ctx context.Context, req PartialRequest) (Par
 			out.Cancelled = true
 			return out, nil
 		}
-		out.Twigs[ti] = TwigMatches{Rows: rows}
+		out.Twigs[ti] = TwigMatches{Flat: slab[lo:len(slab):len(slab)]}
 	}
 	return out, nil
 }
@@ -279,10 +280,9 @@ func (sh *localShard) seedCounts(localVerts, boundary int) {
 	sh.boundary.Store(int64(boundary))
 }
 
-// store pins the current snapshot's store; the caller must treat it as
-// read-only and not hold it across mutations (it is released immediately —
-// callers only read immutable label data).
-func (sh *localShard) engineSnapshot() (*ccsr.Store, uint64, func()) {
+// engineSnapshot pins the current snapshot's store, read-only, until the
+// returned release is called.
+func (sh *localShard) engineSnapshot() (*ccsr.Store, func()) {
 	snap := sh.g.Acquire()
-	return snap.Store(), snap.Epoch(), snap.Release
+	return snap.Store(), snap.Release
 }
