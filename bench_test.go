@@ -235,26 +235,6 @@ func BenchmarkSCECacheAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelMatch compares the sequential executor with 2- and
-// 4-way parallel execution on the same workload.
-func BenchmarkParallelMatch(b *testing.B) {
-	_, engine, patterns := yeastFixture(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := patterns[i%len(patterns)]
-				_, err := engine.Match(p, csce.MatchOptions{
-					Variant: csce.EdgeInduced,
-					Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIncrementalUpdate measures InsertEdge+DeleteEdge round trips
 // against the clustered index, including amortized compactions.
 func BenchmarkIncrementalUpdate(b *testing.B) {

@@ -107,7 +107,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		defTO    = fs.Duration("default-timeout", 5*time.Second, "per-query timeout when timeout_ms is absent")
 		maxTO    = fs.Duration("max-timeout", 60*time.Second, "cap on per-query timeout_ms")
 		planLRU  = fs.Int("plan-cache", 256, "optimized-plan LRU size (negative disables)")
-		workers  = fs.Int("exec-workers", 4, "cap on the per-query workers parameter")
 		drainTO  = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		slowTO   = fs.Duration("slow-query", 500*time.Millisecond, "capture queries at least this slow in /debug/slowlog (negative disables)")
 		slowCap  = fs.Int("slowlog-size", 128, "slow-query ring-buffer capacity")
@@ -179,7 +178,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		DefaultTimeout:       *defTO,
 		MaxTimeout:           *maxTO,
 		PlanCacheSize:        *planLRU,
-		MaxExecWorkers:       *workers,
 		SlowQueryThreshold:   *slowTO,
 		SlowLogSize:          *slowCap,
 		MutateSlots:          *mutSlots,

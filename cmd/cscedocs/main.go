@@ -1,11 +1,14 @@
 // Command cscedocs is the flag/documentation drift gate behind `make
 // docscheck`: every flag the user-facing binaries define must be
-// documented. It parses the command sources (go/ast, stdlib only) for
-// flag registrations on the conventional `fs` FlagSet and requires each
-// collected name to appear as `-name` somewhere in the doc set (README.md
-// or OPERATIONS.md). A flag that exists in the binary but not in the docs
-// — or a renamed flag whose old spelling lingers only in prose — fails CI
-// with the exact list, so the operator handbook cannot silently rot.
+// documented, and every flag the docs' tables list must exist. It parses
+// the command sources (go/ast, stdlib only) for flag registrations on the
+// conventional `fs` FlagSet and requires each collected name to appear as
+// `-name` somewhere in the doc set (README.md or OPERATIONS.md). In the
+// other direction, every flag-table row (a line starting "| `-name`") must
+// name a flag one of the commands defines. A flag that exists in the
+// binary but not in the docs, or a table row for a flag that was removed
+// or renamed, fails CI with the exact list, so the operator handbook
+// cannot silently rot.
 package main
 
 import (
@@ -40,18 +43,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var docText strings.Builder
-	for _, name := range strings.Split(*docs, ",") {
+	docNames := strings.Split(*docs, ",")
+	docTexts := make([]string, len(docNames))
+	for i, name := range docNames {
 		data, err := os.ReadFile(filepath.Join(*root, name))
 		if err != nil {
 			fmt.Fprintf(stderr, "cscedocs: %v\n", err)
 			return 1
 		}
-		docText.Write(data)
-		docText.WriteByte('\n')
+		docTexts[i] = string(data)
 	}
+	docText := strings.Join(docTexts, "\n")
 
 	failed := false
+	defined := map[string]bool{}
 	for _, dir := range strings.Split(*cmds, ",") {
 		flags, err := collectFlags(filepath.Join(*root, dir))
 		if err != nil {
@@ -63,7 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed = true
 			continue
 		}
-		missing := missingFlags(flags, docText.String())
+		for _, name := range flags {
+			defined[name] = true
+		}
+		missing := missingFlags(flags, docText)
 		for _, name := range missing {
 			fmt.Fprintf(stderr, "cscedocs: %s: flag -%s is not documented in %s\n", dir, name, *docs)
 		}
@@ -71,6 +79,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed = true
 		} else {
 			fmt.Fprintf(stdout, "cscedocs: %s: %d flags documented\n", dir, len(flags))
+		}
+	}
+	for i, name := range docNames {
+		for _, row := range staleRows(docTexts[i], defined) {
+			fmt.Fprintf(stderr, "cscedocs: %s:%d: flag-table row -%s names no flag of %s\n", name, row.line, row.flag, *cmds)
+			failed = true
 		}
 	}
 	if failed {
@@ -147,6 +161,33 @@ func missingFlags(flags []string, docText string) []string {
 		}
 	}
 	return missing
+}
+
+// tableRow is one flag-table row of a doc file: its 1-based line number
+// and the flag name in its first cell.
+type tableRow struct {
+	line int
+	flag string
+}
+
+// staleRows returns the rows of doc that start "| `-name`" where no command
+// defines name.
+func staleRows(doc string, defined map[string]bool) []tableRow {
+	var stale []tableRow
+	for i, line := range strings.Split(doc, "\n") {
+		rest, ok := strings.CutPrefix(line, "| `-")
+		if !ok {
+			continue
+		}
+		n := 0
+		for n < len(rest) && wordByte(rest[n]) {
+			n++
+		}
+		if name := rest[:n]; name != "" && !defined[name] {
+			stale = append(stale, tableRow{line: i + 1, flag: name})
+		}
+	}
+	return stale
 }
 
 // documented reports whether doc mentions `-name` as a standalone flag

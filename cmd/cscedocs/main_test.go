@@ -48,8 +48,9 @@ func TestDocumentedTokenBoundaries(t *testing.T) {
 }
 
 // TestNegativeFixtureFails is the gate's own gate: a command with an
-// undocumented flag must fail the run with that flag named, and the two
-// documented flags must not be reported.
+// undocumented flag, or a doc table row for a flag no command defines,
+// must fail the run with that flag named, and the two documented flags
+// must not be reported.
 func TestNegativeFixtureFails(t *testing.T) {
 	var stdout, stderr strings.Builder
 	code := run([]string{
@@ -63,6 +64,9 @@ func TestNegativeFixtureFails(t *testing.T) {
 	out := stderr.String()
 	if !strings.Contains(out, "flag -undocumented is not documented") {
 		t.Fatalf("missing flag not named:\n%s", out)
+	}
+	if !strings.Contains(out, "README.md:12: flag-table row -retired names no flag of cmd/fake") {
+		t.Fatalf("stale table row not named:\n%s", out)
 	}
 	if strings.Contains(out, "-addr") || strings.Contains(out, "-graph") {
 		t.Fatalf("documented flags reported as missing:\n%s", out)

@@ -5,9 +5,8 @@
 //	cscematch -data social.graph -query "MATCH (a:Person)-[:knows]->(b:Person)"
 //
 // Flags select the matching variant (edge, vertex, homo), a plan-mode
-// ablation, limits, parallel workers, and whether to print individual
-// embeddings or the optimized plan. The clustered index can be cached on
-// disk across runs:
+// ablation, limits, and whether to print individual embeddings or the
+// optimized plan. The clustered index can be cached on disk across runs:
 //
 //	cscematch -data big.graph -save-index big.ccsr
 //	cscematch -index big.ccsr -pattern p.graph
@@ -52,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		limit       = fs.Uint64("limit", 0, "stop after this many embeddings (0 = all)")
 		timeLimit   = fs.Duration("time", 0, "execution time limit (0 = none)")
 		timeout     = fs.Duration("timeout", 0, "overall deadline via cooperative cancellation; Ctrl-C also cancels (0 = none)")
-		workers     = fs.Int("workers", 1, "parallel workers for execution")
 		printAll    = fs.Bool("print", false, "print each embedding")
 		symBreak    = fs.Bool("symbreak", false, "apply symmetry breaking (count instances, not mappings)")
 		showPlan    = fs.Bool("plan", false, "print the optimized plan")
@@ -156,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Mode:             mode,
 		Limit:            *limit,
 		TimeLimit:        *timeLimit,
-		Workers:          *workers,
 		SymmetryBreaking: *symBreak,
 		Profile:          *showProfile,
 	}

@@ -108,17 +108,6 @@ func TestSaveAndLoadIndex(t *testing.T) {
 	}
 }
 
-func TestWorkersFlag(t *testing.T) {
-	data, pattern := writeFiles(t)
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-data", data, "-pattern", pattern, "-workers", "3"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "embeddings: 6") {
-		t.Fatalf("parallel output:\n%s", out.String())
-	}
-}
-
 func TestMatchErrors(t *testing.T) {
 	data, pattern := writeFiles(t)
 	var out, errOut bytes.Buffer
@@ -186,7 +175,7 @@ func TestTimeoutCancelsSearch(t *testing.T) {
 
 	var out, errOut bytes.Buffer
 	start := time.Now()
-	err := run([]string{"-data", dataPath, "-pattern", patternPath, "-timeout", "50ms", "-workers", "2"}, &out, &errOut)
+	err := run([]string{"-data", dataPath, "-pattern", patternPath, "-timeout", "50ms"}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,6 +45,18 @@ func TestParseQueryPublicAPI(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("cycle query matched %d times, want 3", n)
 	}
+	// A one-edge query through Match: every knows edge, once each.
+	edge, _, err := csce.ParseQuery("MATCH (a:Person)-[:knows]->(b:Person)", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Match(edge, csce.MatchOptions{Variant: csce.EdgeInduced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embeddings != 4 {
+		t.Fatalf("edge query matched %d times, want 4", res.Embeddings)
+	}
 	if _, _, err := csce.ParseQuery("MATCH (a)-->(b)", g); err == nil {
 		t.Fatal("unlabeled node on a labeled graph must error")
 	}
@@ -126,25 +138,5 @@ e 2 3
 	}
 	if weights.Weight(0, 1) != 1 || weights.Weight(2, 3) != 0 {
 		t.Fatalf("weights wrong: %v", weights)
-	}
-}
-
-func TestParallelWorkersPublicAPI(t *testing.T) {
-	g := socialGraph(t)
-	engine := csce.NewEngine(g)
-	p, _, err := csce.ParseQuery("MATCH (a:Person)-[:knows]->(b:Person)", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := engine.Match(p, csce.MatchOptions{Variant: csce.EdgeInduced})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := engine.Match(p, csce.MatchOptions{Variant: csce.EdgeInduced, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Embeddings != par.Embeddings {
-		t.Fatalf("parallel count %d != sequential %d", par.Embeddings, seq.Embeddings)
 	}
 }

@@ -70,7 +70,7 @@ func All() []Experiment {
 		{"fig14", "Fig. 14: symmetry breaking and pattern density on DIP", runFig14},
 		{"casestudy", "Sec. VII-G: higher-order clustering of EMAIL-EU", runCaseStudy},
 		{"ablation", "Extra: SCE cache / factorization / NEC ablations", runAblation},
-		{"extensions", "Extra: parallel, incremental updates, delta matching", runExtensions},
+		{"extensions", "Extra: incremental updates, delta matching", runExtensions},
 	}
 }
 

@@ -71,42 +71,21 @@ func runAblation(cfg Config) error {
 	return nil
 }
 
-// runExtensions measures the extension subsystems: parallel scaling,
-// incremental update throughput, and continuous (delta) matching against
-// full recounting.
+// runExtensions measures the extension subsystems: incremental update
+// throughput, and continuous (delta) matching against full recounting.
 func runExtensions(cfg Config) error {
 	cfg = cfg.withDefaults()
 	w := cfg.Out
 	spec := quickSpec(mustSpec("Yeast"), cfg)
 	g, engine := loadEngine(spec)
-
-	// ---- parallel scaling ----
 	size := 10
 	if cfg.Quick {
 		size = 8
 	}
+	// The delta table matches the first of these.
 	patterns, err := samplePatterns(g, size, true, cfg.PatternsPerConfig, 2100)
 	if err != nil {
 		return err
-	}
-	header(w, "Extension: parallel execution scaling (Yeast)",
-		"Workers", "MeanExecTime", "Embeddings")
-	for _, workers := range []int{1, 2, 4, 8} {
-		var total time.Duration
-		var emb uint64
-		for _, p := range patterns {
-			res, err := engine.Match(p, core.MatchOptions{
-				Variant:   graph.EdgeInduced,
-				TimeLimit: cfg.TimeLimit,
-				Workers:   workers,
-			})
-			if err != nil {
-				return err
-			}
-			total += res.ExecTime
-			emb += res.Embeddings
-		}
-		cell(w, workers, total/time.Duration(len(patterns)), emb)
 	}
 
 	// ---- incremental updates ----

@@ -86,8 +86,7 @@ type MatchOptions struct {
 	// Mode selects the plan-optimization ablation; the default ModeCSCE is
 	// the full pipeline.
 	Mode plan.Mode
-	// Limit stops after this many embeddings (0 = all); exact in both the
-	// serial and parallel execution paths.
+	// Limit stops after this many embeddings (0 = all), exactly.
 	Limit uint64
 	// TimeLimit bounds the execution stage (0 = none).
 	TimeLimit time.Duration
@@ -123,13 +122,7 @@ type MatchOptions struct {
 	// optimizations for ablation runs.
 	DisableSCECache      bool
 	DisableFactorization bool
-	// Workers > 1 runs the execution stage in parallel by partitioning the
-	// first vertex's candidates (an extension; the paper's evaluation is
-	// single-threaded). Counts are exact; OnEmbedding is serialized.
-	Workers int
-	// Profile collects a per-level execution profile (MatchResult.Profile)
-	// in both the serial and parallel paths; parallel runs merge the
-	// per-worker level counters.
+	// Profile collects a per-level execution profile (MatchResult.Profile).
 	Profile bool
 }
 
@@ -230,12 +223,7 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 	res.PlanTime = time.Since(planStart)
 	res.Plan = pl
 
-	var st exec.Stats
-	if opts.Workers > 1 {
-		st, err = exec.RunParallel(view, pl, execOpts, opts.Workers)
-	} else {
-		st, err = exec.Run(view, pl, execOpts)
-	}
+	st, err := exec.Run(view, pl, execOpts)
 	if err != nil {
 		return res, fmt.Errorf("core: execute: %w", err)
 	}

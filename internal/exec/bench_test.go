@@ -67,17 +67,3 @@ func BenchmarkExtendPinned(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkExtendParallel covers the worker construction path: workers
-// now receive their chunk of the prototype's depth-0 pool instead of
-// re-scanning the clusters and re-filtering by label per worker.
-func BenchmarkExtendParallel(b *testing.B) {
-	view, pl := benchSetup(b, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunParallel(view, pl, Options{}, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -45,23 +45,6 @@ func TestContextCancelStopsSearch(t *testing.T) {
 	}
 }
 
-func TestContextCancelStopsParallelSearch(t *testing.T) {
-	view, pl := explodingFixture(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	st, err := RunParallel(view, pl, Options{Ctx: ctx, DisableFactorization: true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Cancelled {
-		t.Fatalf("expected Cancelled, stats: %+v", st)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation did not abort promptly (%v)", elapsed)
-	}
-}
-
 func TestAlreadyCancelledContextDoesNoWork(t *testing.T) {
 	view, pl := explodingFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,49 +89,8 @@ func TestLimitExactSerial(t *testing.T) {
 	}
 }
 
-// TestLimitExactParallelHammer hammers a high-match pattern with small
-// limits and many workers: every run must return exactly the limit.
-func TestLimitExactParallelHammer(t *testing.T) {
-	g := graph.Clique(12, 0)
-	p := graph.Path(3, 0)
-	store := ccsr.Build(g)
-	pl, err := plan.Optimize(p, store, graph.EdgeInduced, plan.ModeCSCE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := store.ReadCSR(p, graph.EdgeInduced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, err := Count(view, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total < 500 {
-		t.Fatalf("fixture too small: %d embeddings", total)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		for _, factorized := range []bool{false, true} {
-			for limit := uint64(1); limit <= 20; limit++ {
-				st, err := RunParallel(view, pl,
-					Options{Limit: limit, DisableFactorization: !factorized}, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Embeddings != limit {
-					t.Fatalf("workers=%d factorized=%v limit=%d: found %d, want exactly %d",
-						workers, factorized, limit, st.Embeddings, limit)
-				}
-				if !st.LimitHit {
-					t.Fatalf("workers=%d limit=%d: LimitHit not set", workers, limit)
-				}
-			}
-		}
-	}
-}
-
 // TestLimitExactWithCallback: when streaming embeddings through a
-// callback, the consumer sees exactly the limit, serially and in parallel.
+// callback, the consumer sees exactly the limit.
 func TestLimitExactWithCallback(t *testing.T) {
 	g := graph.Clique(10, 0)
 	p := graph.Path(3, 0)
@@ -161,19 +103,16 @@ func TestLimitExactWithCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		var seen uint64
-		opts := Options{
-			Limit:       17,
-			OnEmbedding: func([]graph.VertexID) bool { seen++; return true },
-		}
-		st, err := RunParallel(view, pl, opts, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen != 17 || st.Embeddings != 17 {
-			t.Fatalf("workers=%d: callback saw %d, stats counted %d, want exactly 17",
-				workers, seen, st.Embeddings)
-		}
+	var seen uint64
+	opts := Options{
+		Limit:       17,
+		OnEmbedding: func([]graph.VertexID) bool { seen++; return true },
+	}
+	st, err := Run(view, pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != 17 || st.Embeddings != 17 {
+		t.Fatalf("callback saw %d, stats counted %d, want exactly 17", seen, st.Embeddings)
 	}
 }

@@ -97,10 +97,6 @@ type engine struct {
 	done     <-chan struct{} // Options.Ctx.Done(); nil when uncancellable
 	stop     bool
 
-	// shared coordinates the workers of a RunParallel invocation; nil for
-	// single-threaded runs.
-	shared *sharedState
-
 	// prof, when non-nil, accumulates the per-level profile.
 	prof *profiler
 }
@@ -109,13 +105,6 @@ type engine struct {
 // returns (nil, nil) when some pattern edge has no matching cluster, which
 // means the result is trivially empty.
 func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
-	return buildEngine(view, pl, opts, nil)
-}
-
-// buildEngine is newEngine with an optional preset depth-0 pool: RunParallel
-// workers pass their chunk of the prototype's pool so each worker skips the
-// cluster scan and label filter buildPool would redo.
-func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []graph.VertexID) (*engine, error) {
 	p := pl.Pattern
 	n := len(pl.Order)
 	e := &engine{
@@ -196,9 +185,7 @@ func buildEngine(view *ccsr.View, pl *plan.Plan, opts Options, presetPool []grap
 
 	// Depth 0 candidate pool: the smallest incident cluster's non-empty
 	// rows, filtered to the right label.
-	if presetPool != nil {
-		e.levels[0].pool = presetPool
-	} else if err := e.buildPool(); err != nil {
+	if err := e.buildPool(); err != nil {
 		return nil, err
 	}
 	if e.levels[0].pool == nil {
@@ -545,10 +532,6 @@ func (e *engine) match(d int, factor uint64) {
 			if e.overDeadline() || e.cancelled() {
 				return
 			}
-			if e.shared != nil && e.shared.stop.Load() {
-				e.stop = true
-				return
-			}
 		}
 		if injective && e.used[v] {
 			continue
@@ -571,38 +554,11 @@ func (e *engine) match(d int, factor uint64) {
 
 // emit accounts one (possibly factorized) embedding. The limit is enforced
 // exactly: the factor is clamped to the remaining budget *before* it is
-// counted, and in parallel runs the budget lives in a shared counter whose
-// slots are reserved with CompareAndSwap, so no worker can push the total
-// past the limit between check and emission.
+// counted.
 //
 //csce:hotpath runs once per embedding; counting must not allocate
 func (e *engine) emit(factor uint64) {
-	switch {
-	case e.shared != nil && e.shared.limit > 0:
-		for {
-			cur := e.shared.total.Load()
-			if cur >= e.shared.limit {
-				e.shared.stop.Store(true)
-				e.stop = true
-				return
-			}
-			take := factor
-			if cur+take >= e.shared.limit {
-				take = e.shared.limit - cur
-			}
-			if e.shared.total.CompareAndSwap(cur, cur+take) {
-				factor = take
-				if cur+take == e.shared.limit {
-					e.stats.LimitHit = true
-					e.shared.stop.Store(true)
-					e.stop = true
-				}
-				break
-			}
-		}
-	case e.shared != nil:
-		e.shared.total.Add(factor)
-	case e.opts.Limit > 0:
+	if e.opts.Limit > 0 {
 		if remaining := e.opts.Limit - e.stats.Embeddings; factor >= remaining {
 			factor = remaining
 			e.stats.LimitHit = true
@@ -612,7 +568,7 @@ func (e *engine) emit(factor uint64) {
 	e.stats.Embeddings += factor
 	if e.opts.OnEmbedding != nil {
 		// A callback disables factorization, so factor is 1 here and the
-		// reservation above admitted exactly this embedding.
+		// clamp above admitted exactly this embedding.
 		if !e.opts.OnEmbedding(e.byVert) {
 			e.stop = true
 		}

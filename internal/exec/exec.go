@@ -35,10 +35,8 @@ import (
 // Options controls one matching run.
 type Options struct {
 	// Limit stops the search once this many embeddings were found
-	// (0 = unlimited). The limit is exact in both the serial and parallel
-	// paths: a factorized level's multiplicative factor is clamped to the
-	// remaining budget, and parallel workers reserve slots on the shared
-	// counter before emitting.
+	// (0 = unlimited). The limit is exact: a factorized level's
+	// multiplicative factor is clamped to the remaining budget.
 	Limit uint64
 	// TimeLimit aborts the search after the given duration (0 = none).
 	TimeLimit time.Duration
@@ -69,8 +67,7 @@ type Options struct {
 	Pinned [][2]graph.VertexID
 	// Profile collects a per-level execution profile into Stats.Profile
 	// (a few counter increments per step; prefer leaving it off when
-	// benchmarking the engine itself). In the parallel path the per-worker
-	// profiles are merged level-wise.
+	// benchmarking the engine itself).
 	Profile bool
 }
 

@@ -38,15 +38,17 @@ func TestRunWithProfile(t *testing.T) {
 		t.Fatalf("profile has %d levels, want %d", len(prof.Levels), p.NumVertices())
 	}
 	// Per-level counters must sum to the global ones.
-	var steps, builds, reuses uint64
+	var steps, builds, reuses, nec uint64
 	for _, lv := range prof.Levels {
 		steps += lv.Steps
 		builds += lv.CandidateBuilds
 		reuses += lv.CandidateReuses
+		nec += lv.NECShares
 	}
-	if steps != st.Steps || builds != st.CandidateBuilds || reuses != st.CandidateReuses {
-		t.Fatalf("per-level sums diverge: steps %d/%d builds %d/%d reuses %d/%d",
-			steps, st.Steps, builds, st.CandidateBuilds, reuses, st.CandidateReuses)
+	if steps != st.Steps || builds != st.CandidateBuilds ||
+		reuses != st.CandidateReuses || nec != st.NECShares {
+		t.Fatalf("per-level sums diverge: steps %d/%d builds %d/%d reuses %d/%d nec %d/%d",
+			steps, st.Steps, builds, st.CandidateBuilds, reuses, st.CandidateReuses, nec, st.NECShares)
 	}
 	// Every plan vertex appears once, in order.
 	for i, lv := range prof.Levels {
@@ -81,55 +83,5 @@ func TestRunWithProfileEmptyResult(t *testing.T) {
 	}
 	if st.Embeddings != 0 || len(prof.Levels) != 0 {
 		t.Fatalf("empty result must yield an empty profile: %+v", prof)
-	}
-}
-
-// TestRunParallelProfileMerge pins the parallel profile path: per-worker
-// level profiles merge into one whose per-level sums equal the merged
-// global counters, with the plan's vertex at every position.
-func TestRunParallelProfileMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := randomGraph(rng, 60, 240, 3, 1, false)
-	p := randomConnectedPattern(rng, 5, 3, 1, false)
-	store := ccsr.Build(g)
-	pl, err := plan.Optimize(p, store, graph.EdgeInduced, plan.ModeCSCE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := store.ReadCSR(p, graph.EdgeInduced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Run(view, pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := RunParallel(view, pl, Options{Profile: true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Embeddings != serial.Embeddings {
-		t.Fatalf("parallel profiling changed the count: %d vs %d", st.Embeddings, serial.Embeddings)
-	}
-	if st.Profile == nil {
-		t.Fatal("parallel run with Options.Profile returned no profile")
-	}
-	if len(st.Profile.Levels) != p.NumVertices() {
-		t.Fatalf("merged profile has %d levels, want %d", len(st.Profile.Levels), p.NumVertices())
-	}
-	var steps, builds, reuses, nec uint64
-	for i, lv := range st.Profile.Levels {
-		if lv.Vertex != pl.Order[i] {
-			t.Fatalf("level %d profiles u%d, want u%d", i, lv.Vertex, pl.Order[i])
-		}
-		steps += lv.Steps
-		builds += lv.CandidateBuilds
-		reuses += lv.CandidateReuses
-		nec += lv.NECShares
-	}
-	if steps != st.Steps || builds != st.CandidateBuilds ||
-		reuses != st.CandidateReuses || nec != st.NECShares {
-		t.Fatalf("merged per-level sums diverge from merged stats: steps %d/%d builds %d/%d reuses %d/%d nec %d/%d",
-			steps, st.Steps, builds, st.CandidateBuilds, reuses, st.CandidateReuses, nec, st.NECShares)
 	}
 }

@@ -16,9 +16,8 @@ import (
 // filter chain: on random directed and undirected graphs with several edge
 // labels, every variant's count must equal the brute-force oracle and a
 // run that recomputes every stage (DisableSCECache), with and without
-// factorization, symmetry constraints, pins and limits, serially and with
-// 2 and 4 workers. Most patterns are sampled from the graph itself, so
-// they have embeddings to get wrong.
+// factorization, symmetry constraints, pins and limits. Most patterns are
+// sampled from the graph itself, so they have embeddings to get wrong.
 func TestPropertyStagedChainIsExact(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -131,35 +130,33 @@ func checkStagedExact(t *testing.T, name string, g *graph.Graph, store *ccsr.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts Options, workers int) Stats {
+	run := func(opts Options) Stats {
 		t.Helper()
-		st, err := RunParallel(view, pl, opts, workers)
+		st, err := Run(view, pl, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return st
 	}
 	want := baseline.BruteForce(g, p, variant)
-	for _, workers := range []int{1, 2, 4} {
-		for _, opts := range []Options{{}, {DisableSCECache: true}, {DisableFactorization: true}, {DisableSCECache: true, DisableFactorization: true}} {
-			if got := run(opts, workers).Embeddings; got != want {
-				t.Fatalf("%s workers=%d %+v: %d embeddings, brute force %d", name, workers, opts, got, want)
-			}
+	for _, opts := range []Options{{}, {DisableSCECache: true}, {DisableFactorization: true}, {DisableSCECache: true, DisableFactorization: true}} {
+		if got := run(opts).Embeddings; got != want {
+			t.Fatalf("%s %+v: %d embeddings, brute force %d", name, opts, got, want)
 		}
-		if want > 1 {
-			limit := want / 2
-			for _, noCache := range []bool{false, true} {
-				if got := run(Options{Limit: limit, DisableSCECache: noCache}, workers).Embeddings; got != limit {
-					t.Fatalf("%s workers=%d limit %d (no cache %v): %d embeddings", name, workers, limit, noCache, got)
-				}
+	}
+	if want > 1 {
+		limit := want / 2
+		for _, noCache := range []bool{false, true} {
+			if got := run(Options{Limit: limit, DisableSCECache: noCache}).Embeddings; got != limit {
+				t.Fatalf("%s limit %d (no cache %v): %d embeddings", name, limit, noCache, got)
 			}
 		}
 	}
-	// Serially, recomputing every stage yields the same candidate lists in
-	// the same order, so the two runs take the same steps.
+	// Recomputing every stage yields the same candidate lists in the same
+	// order, so the two runs take the same steps.
 	for _, noFact := range []bool{false, true} {
-		staged := run(Options{DisableFactorization: noFact}, 1)
-		full := run(Options{DisableFactorization: noFact, DisableSCECache: true}, 1)
+		staged := run(Options{DisableFactorization: noFact})
+		full := run(Options{DisableFactorization: noFact, DisableSCECache: true})
 		if staged.Steps != full.Steps {
 			t.Fatalf("%s (no factorization %v): %d steps staged, %d recomputing every stage", name, noFact, staged.Steps, full.Steps)
 		}
@@ -171,7 +168,7 @@ func checkStagedExact(t *testing.T, name string, g *graph.Graph, store *ccsr.Sto
 		var sum uint64
 		for v := 0; v < g.NumVertices(); v++ {
 			pin := [][2]graph.VertexID{{u, graph.VertexID(v)}}
-			sum += run(Options{Pinned: pin, DisableSCECache: noCache}, 2).Embeddings
+			sum += run(Options{Pinned: pin, DisableSCECache: noCache}).Embeddings
 		}
 		if sum != want {
 			t.Fatalf("%s (no cache %v): pinned counts of u%d sum to %d, brute force %d", name, noCache, u, sum, want)
@@ -181,8 +178,8 @@ func checkStagedExact(t *testing.T, name string, g *graph.Graph, store *ccsr.Sto
 	if variant.Injective() && p.NumVertices() >= 2 {
 		a, b := pl.Order[0], pl.Order[len(pl.Order)-1]
 		for _, noCache := range []bool{false, true} {
-			lt := run(Options{SymmetryConstraints: [][2]graph.VertexID{{a, b}}, DisableSCECache: noCache}, 1).Embeddings
-			gt := run(Options{SymmetryConstraints: [][2]graph.VertexID{{b, a}}, DisableSCECache: noCache}, 4).Embeddings
+			lt := run(Options{SymmetryConstraints: [][2]graph.VertexID{{a, b}}, DisableSCECache: noCache}).Embeddings
+			gt := run(Options{SymmetryConstraints: [][2]graph.VertexID{{b, a}}, DisableSCECache: noCache}).Embeddings
 			if lt+gt != want {
 				t.Fatalf("%s (no cache %v): f(u%d)<f(u%d) %d + reverse %d != %d", name, noCache, a, b, lt, gt, want)
 			}

@@ -293,7 +293,6 @@ func (s *Server) finish(w http.ResponseWriter, stream *matchStream, q *matchQuer
 				"variant": q.params.variant.String(),
 				"mode":    q.params.mode.String(),
 				"limit":   q.params.limit,
-				"workers": q.params.workers,
 			},
 		}
 		maps.Copy(detail, e.summary)
@@ -393,7 +392,6 @@ func (b storeBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 		Variant:      q.params.variant,
 		Mode:         q.params.mode,
 		Limit:        q.params.limit,
-		Workers:      q.params.workers,
 		Context:      ctx,
 		PreparedPlan: pl,
 		OnEmbedding:  emit,
@@ -529,7 +527,6 @@ func (b shardBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 		Variant:     q.params.variant,
 		Mode:        q.params.mode,
 		Limit:       q.params.limit,
-		Workers:     q.params.workers,
 		OnEmbedding: emit,
 		// The pipeline checked the pre-filter before the slot wait whenever
 		// the coordinator would.

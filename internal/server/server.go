@@ -64,8 +64,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps timeout_ms (default 60s).
 	MaxTimeout time.Duration
-	// MaxExecWorkers caps the per-query workers parameter (default 4).
-	MaxExecWorkers int
 	// PlanCacheSize bounds the LRU of optimized plans (default 256;
 	// negative disables caching).
 	PlanCacheSize int
@@ -155,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
-	}
-	if c.MaxExecWorkers <= 0 {
-		c.MaxExecWorkers = 4
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
@@ -367,7 +362,6 @@ type matchParams struct {
 	mode    plan.Mode
 	limit   uint64
 	timeout time.Duration
-	workers int
 	profile bool // ?profile=1: return the per-level profile in the summary
 }
 
@@ -378,7 +372,6 @@ func (s *Server) parseMatchParams(r *http.Request) (matchParams, error) {
 		mode:    plan.ModeCSCE,
 		limit:   s.cfg.MaxLimit,
 		timeout: s.cfg.DefaultTimeout,
-		workers: 1,
 	}
 	switch v := q.Get("variant"); v {
 	case "", "edge":
@@ -424,16 +417,6 @@ func (s *Server) parseMatchParams(r *http.Request) (matchParams, error) {
 			d = s.cfg.MaxTimeout
 		}
 		p.timeout = d
-	}
-	if raw := q.Get("workers"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			return p, fmt.Errorf("bad workers %q", raw)
-		}
-		if n > s.cfg.MaxExecWorkers {
-			n = s.cfg.MaxExecWorkers
-		}
-		p.workers = n
 	}
 	switch raw := q.Get("profile"); raw {
 	case "", "0", "false":

@@ -273,8 +273,7 @@ func TestConcurrentMatchesAreExactAndCounted(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			pattern := patterns[i%len(patterns)]
-			u := fmt.Sprintf("%s/v1/graphs/tiny/match?workers=%d", base, 1+i%2)
-			resp, err := http.Post(u, "text/plain", strings.NewReader(pattern))
+			resp, err := http.Post(base+"/v1/graphs/tiny/match", "text/plain", strings.NewReader(pattern))
 			if err != nil {
 				errs <- err
 				return

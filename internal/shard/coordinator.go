@@ -372,8 +372,6 @@ type MatchOptions struct {
 	Mode plan.Mode
 	// Limit stops after this many embeddings (0 = all), exact.
 	Limit uint64
-	// Workers sizes each shard's local executor (<=1 serial).
-	Workers int
 	// SkipPrefilter bypasses Match's admission check. Set it only when the
 	// caller already ran PrefilterCheck for this exact pattern and variant
 	// (the serving layer checks before taking an admission slot, so the
@@ -496,7 +494,7 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	// nest under the shard that ran them.
 	scatterCtx, endScatter := obs.StartSpanCtx(ctx, "shard.scatter")
 	scatterStart := time.Now()
-	req := PartialRequest{Twigs: dec.Twigs, Workers: opts.Workers}
+	req := PartialRequest{Twigs: dec.Twigs}
 	results := make([]PartialResult, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup

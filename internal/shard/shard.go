@@ -142,8 +142,6 @@ type Twig struct {
 // epoch.
 type PartialRequest struct {
 	Twigs []Twig
-	// Workers sizes the shard-local parallel executor (<=1 serial).
-	Workers int
 }
 
 // TwigMatches holds one twig's shard-local rows back to back, each
@@ -217,7 +215,6 @@ func (sh *localShard) MatchPartial(ctx context.Context, req PartialRequest) (Par
 	// Every twig's rows go to one slab; each twig keeps its capped run.
 	var slab []graph.VertexID
 	var root graph.VertexID
-	// OnEmbedding is serialized by the executor even with Workers>1.
 	keep := func(m []graph.VertexID) bool {
 		if r := m[root]; int(r) < len(owners) && int(owners[r]) == sh.id {
 			slab = append(slab, m...) // else another shard owns this root
@@ -238,7 +235,6 @@ func (sh *localShard) MatchPartial(ctx context.Context, req PartialRequest) (Par
 			// of the full embedding and is enforced at the join.
 			Variant:      graph.Homomorphic,
 			PreparedPlan: tw.Plan,
-			Workers:      req.Workers,
 			Context:      ctx,
 			OnEmbedding:  keep,
 		})
