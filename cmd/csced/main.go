@@ -21,8 +21,8 @@
 // publishes a new immutable snapshot (in-flight queries finish on the one
 // they pinned), and /subscribe streams the delta embeddings (and, for
 // deletions, retractions) each commit contributes to a standing pattern.
-// Mutations are admitted through their own valve
-// (-mutate-slots/-mutate-queue) so a mutation storm cannot starve reads.
+// Mutations are admitted through their own valve (one applying batch,
+// four waiting) so a mutation storm cannot starve reads.
 //
 // Durability: with -wal-dir set, every committed batch is appended to a
 // per-graph segment log (fsynced per -fsync) before it is acknowledged,
@@ -40,15 +40,15 @@
 // Observability: every query carries a trace ID (X-Trace-Id header, NDJSON
 // summary, structured log lines on stderr); /metrics exposes latency
 // quantiles per query phase and endpoint plus runtime gauges (goroutines,
-// heap, GC pause, polled every -runtime-stats); /debug/slowlog holds the
-// most recent queries slower than -slow-query with their plan summary and
-// per-level execution profile, each linked to /debug/trace/{id} where the
-// full span tree of the last -trace-ring queries is retained; -debug-addr
-// serves net/http/pprof on a separate (private) listener.
+// heap, GC pause, polled every 10s); /debug/slowlog holds the most recent
+// queries slower than -slow-query with their plan summary and per-level
+// execution profile, each linked to /debug/trace/{id} where the full span
+// tree of the last 256 queries is retained; -debug-addr serves
+// net/http/pprof on a separate (private) listener.
 //
 // Trace export: with -trace-endpoint set, every finished query trace is
 // shipped asynchronously to a collector as OTLP/JSON (POST /v1/traces).
-// The queue is bounded (-trace-queue): a stalled collector costs dropped
+// The queue is bounded (4096 traces): a stalled collector costs dropped
 // traces (counted in csce_trace_export_dropped), never query latency. On
 // shutdown the queue is drained after the HTTP listener, so no tail spans
 // are lost.
@@ -86,6 +86,10 @@ func main() {
 	}
 }
 
+// drainTimeout bounds the graceful shutdown: in-flight queries get this
+// long to finish before the listener is closed and cancels them.
+const drainTimeout = 10 * time.Second
+
 // repeatFlag collects repeated -graph/-dataset values.
 type repeatFlag []string
 
@@ -101,23 +105,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		graphs   repeatFlag
 		datasets repeatFlag
 		addr     = fs.String("addr", "127.0.0.1:8372", "listen address (\":0\" picks a free port)")
-		slots    = fs.Int("slots", 4, "concurrently executing matches")
-		queue    = fs.Int("queue", 0, "queries waiting for a slot before 429 (default 2*slots)")
+		slots    = fs.Int("slots", 4, "concurrently executing matches; up to 2*slots more wait before 429")
 		maxLimit = fs.Uint64("max-limit", 10000, "hard cap on embeddings streamed per query")
 		defTO    = fs.Duration("default-timeout", 5*time.Second, "per-query timeout when timeout_ms is absent")
 		maxTO    = fs.Duration("max-timeout", 60*time.Second, "cap on per-query timeout_ms")
 		planLRU  = fs.Int("plan-cache", 256, "optimized-plan LRU size (negative disables)")
-		drainTO  = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		slowTO   = fs.Duration("slow-query", 500*time.Millisecond, "capture queries at least this slow in /debug/slowlog (negative disables)")
-		slowCap  = fs.Int("slowlog-size", 128, "slow-query ring-buffer capacity")
-		mutSlots = fs.Int("mutate-slots", 1, "concurrently applying mutation batches")
-		mutQueue = fs.Int("mutate-queue", 0, "mutation batches waiting for a slot before 429 (default 4*mutate-slots)")
 		maxBatch = fs.Int("max-batch", 4096, "mutations accepted per /mutate batch")
-		subBuf   = fs.Int("sub-buffer", 256, "per-subscriber event buffer; overflowing it drops the subscriber")
 		walKeep  = fs.Int("wal-retention", 4096, "mutation records retained per graph for subscriber resume")
 		walDir   = fs.String("wal-dir", "", "root directory for durable per-graph WALs (empty keeps graphs in-memory only)")
-		fsyncPol = fs.String("fsync", "always", "durable-WAL fsync policy: always, interval, never")
-		fsyncIv  = fs.Duration("fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
+		fsyncPol = fs.String("fsync", "always", "durable-WAL fsync policy: always or never")
 		segSize  = fs.Int64("segment-size", 4<<20, "durable-WAL segment rotation threshold in bytes")
 		segKeep  = fs.Int("wal-keep-segments", 4, "sealed segments kept before a checkpoint truncates the log")
 		debugAdr = fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables; keep it private)")
@@ -125,9 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 		shardsN  = fs.Int("shards", 0, "partition every loaded graph into K shards behind a scatter-gather coordinator (0 serves single-store)")
 		shardSch = fs.String("shard-scheme", "id", "vertex->shard assignment for -shards: id (v mod K) or label")
 		traceEP  = fs.String("trace-endpoint", "", "collector URL to POST finished traces to, e.g. http://localhost:4318/v1/traces (empty disables export)")
-		traceQ   = fs.Int("trace-queue", 4096, "bounded export queue; a full queue drops traces instead of blocking queries")
-		traceRg  = fs.Int("trace-ring", 256, "completed traces retained for /debug/trace/{id} (negative disables)")
-		rtStats  = fs.Duration("runtime-stats", 10*time.Second, "runtime/metrics polling interval for goroutine/heap/GC gauges (negative disables)")
 		preFlt   = fs.String("prefilter", "on", "O(pattern) admission pre-filters: on rejects provably-empty queries before planning, off disables the gate (signatures stay maintained)")
 	)
 	fs.Var(&graphs, "graph", "name=path of a data graph to serve (repeatable)")
@@ -161,9 +155,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 	var exporter *export.Exporter
 	if *traceEP != "" {
 		exporter, err = export.New(export.Config{
-			Endpoint:  *traceEP,
-			QueueSize: *traceQ,
-			Logger:    logger,
+			Endpoint: *traceEP,
+			Logger:   logger,
 		})
 		if err != nil {
 			return err
@@ -173,27 +166,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 	srv := server.New(server.Config{
 		Addr:                 *addr,
 		MatchSlots:           *slots,
-		QueueDepth:           *queue,
 		MaxLimit:             *maxLimit,
 		DefaultTimeout:       *defTO,
 		MaxTimeout:           *maxTO,
 		PlanCacheSize:        *planLRU,
 		SlowQueryThreshold:   *slowTO,
-		SlowLogSize:          *slowCap,
-		MutateSlots:          *mutSlots,
-		MutateQueueDepth:     *mutQueue,
 		MaxMutationsPerBatch: *maxBatch,
-		SubscriberBuffer:     *subBuf,
 		WALRetention:         *walKeep,
 		WALDir:               *walDir,
 		WALFsync:             fsync,
-		WALFsyncInterval:     *fsyncIv,
 		WALSegmentSize:       *segSize,
 		WALKeepSegments:      *segKeep,
 		Logger:               logger,
 		TraceExporter:        exporter,
-		TraceRingSize:        *traceRg,
-		RuntimeStatsInterval: *rtStats,
 		DisablePrefilter:     *preFlt == "off",
 	})
 
@@ -268,10 +253,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, started c
 	}
 
 	<-ctx.Done()
-	fmt.Fprintf(stdout, "csced: draining (up to %v)...\n", *drainTO)
+	fmt.Fprintf(stdout, "csced: draining (up to %v)...\n", drainTimeout)
 	// ctx is already cancelled here; deriving the drain deadline from it
 	// would make it pre-expired.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)

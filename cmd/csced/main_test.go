@@ -108,6 +108,30 @@ func TestDaemonErrors(t *testing.T) {
 	if err := run(ctx, []string{"-graph", "bad", "-log-level", "loud"}, &out, &errOut, nil); err == nil {
 		t.Fatal("bad -log-level must error")
 	}
+	// Settings that became constants are refused like any unknown flag,
+	// and the interval fsync policy is gone.
+	for _, args := range [][]string{
+		{"-queue", "8"},
+		{"-mutate-slots", "2"},
+		{"-mutate-queue", "8"},
+		{"-fsync-interval", "1s"},
+		{"-slowlog-size", "64"},
+		{"-trace-queue", "64"},
+		{"-trace-ring", "64"},
+		{"-runtime-stats", "1s"},
+		{"-drain", "1s"},
+		{"-sub-buffer", "64"},
+	} {
+		errOut.Reset()
+		err := run(ctx, append(args, "-dataset", "Yeast"), &out, &errOut, nil)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%v: got %v, want an undefined-flag error", args, err)
+		}
+	}
+	if err := run(ctx, []string{"-dataset", "Yeast", "-fsync", "interval"}, &out, &errOut, nil); err == nil ||
+		!strings.Contains(err.Error(), "unknown fsync policy") {
+		t.Fatalf("-fsync interval: got %v, want an unknown-policy error", err)
+	}
 }
 
 // TestDaemonObservabilityEndpoints boots the daemon with a tiny slow-query

@@ -192,8 +192,8 @@ func staleRows(doc string, defined map[string]bool) []tableRow {
 
 // documented reports whether doc mentions `-name` as a standalone flag
 // token: the character before the dash and after the name must not extend
-// the word, so `-data` is not satisfied by `-dataset` and `-fsync` is not
-// satisfied by `-fsync-interval`.
+// the word, so `-data` is not satisfied by `-dataset` and `-shard` is not
+// satisfied by `-shard-scheme`.
 func documented(doc, name string) bool {
 	target := "-" + name
 	for i := 0; ; {

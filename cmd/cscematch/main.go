@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		variantName = fs.String("variant", "edge", "matching variant: edge, vertex, homo")
 		modeName    = fs.String("mode", "csce", "plan mode: csce, ri, ri+cluster, rm, cost")
 		limit       = fs.Uint64("limit", 0, "stop after this many embeddings (0 = all)")
-		timeLimit   = fs.Duration("time", 0, "execution time limit (0 = none)")
 		timeout     = fs.Duration("timeout", 0, "overall deadline via cooperative cancellation; Ctrl-C also cancels (0 = none)")
 		printAll    = fs.Bool("print", false, "print each embedding")
 		symBreak    = fs.Bool("symbreak", false, "apply symmetry breaking (count instances, not mappings)")
@@ -153,7 +152,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Variant:          variant,
 		Mode:             mode,
 		Limit:            *limit,
-		TimeLimit:        *timeLimit,
 		SymmetryBreaking: *symBreak,
 		Profile:          *showProfile,
 	}
@@ -206,9 +204,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res.Total(), res.ReadTime, res.PlanTime, res.ExecTime, time.Since(start))
 	fmt.Fprintf(stdout, "clusters read: %d (%.2f MB referenced)\n",
 		res.ClustersRead, float64(res.ViewBytes)/1e6)
-	fmt.Fprintf(stdout, "exec: steps=%d candidate builds=%d reuses=%d nec-shares=%d factorized=%d timedout=%v\n",
+	fmt.Fprintf(stdout, "exec: steps=%d candidate builds=%d reuses=%d nec-shares=%d factorized=%d\n",
 		res.Exec.Steps, res.Exec.CandidateBuilds, res.Exec.CandidateReuses,
-		res.Exec.NECShares, res.Exec.FactorizedLevels, res.Exec.TimedOut)
+		res.Exec.NECShares, res.Exec.FactorizedLevels)
 	if res.Exec.Cancelled {
 		fmt.Fprintln(stdout, "search cancelled (timeout or interrupt); counts are partial")
 	}

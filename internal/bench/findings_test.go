@@ -29,29 +29,51 @@ func findingFixture(t testing.TB) (*graph.Graph, *core.Engine, *graph.Graph) {
 }
 
 // TestFinding1CSCEBeatsBaselines: CSCE's total time undercuts every
-// supporting baseline on a labeled dense-pattern workload.
+// supporting baseline on a labeled dense-pattern workload. Each side is
+// timed as the minimum of findingRuns runs, so a scheduler stall on a
+// busy machine inflates neither side's figure; the comparison itself stays
+// strict.
 func TestFinding1CSCEBeatsBaselines(t *testing.T) {
+	const findingRuns = 5
 	g, engine, p := findingFixture(t)
-	res, err := engine.Match(p, core.MatchOptions{Variant: graph.EdgeInduced, TimeLimit: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exec.TimedOut {
-		t.Fatal("fixture too hard for the assertion")
-	}
-	csceTime := res.Total()
-	for _, m := range []baseline.Matcher{baseline.NewBacktrack(), baseline.NewBacktrackFSP(), baseline.NewJoinWCOJ()} {
-		b, err := m.Match(g, p, graph.EdgeInduced, baseline.Options{TimeLimit: 5 * time.Second})
+	var embeddings uint64
+	var csceTime time.Duration
+	for i := 0; i < findingRuns; i++ {
+		r, err := engine.Match(p, core.MatchOptions{Variant: graph.EdgeInduced, TimeLimit: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Embeddings != res.Embeddings && !b.TimedOut {
-			t.Fatalf("%s disagrees on the count: %d vs %d",
-				m.Capabilities().Name, b.Embeddings, res.Embeddings)
+		if r.Exec.TimedOut {
+			t.Fatal("fixture too hard for the assertion")
 		}
-		if !b.TimedOut && b.Elapsed < csceTime {
-			t.Fatalf("Finding 1 violated: %s (%v) faster than CSCE (%v)",
-				m.Capabilities().Name, b.Elapsed, csceTime)
+		if i == 0 || r.Total() < csceTime {
+			csceTime = r.Total()
+		}
+		embeddings = r.Embeddings
+	}
+	for _, m := range []baseline.Matcher{baseline.NewBacktrack(), baseline.NewBacktrackFSP(), baseline.NewJoinWCOJ()} {
+		var best time.Duration
+		timedOut := false
+		for i := 0; i < findingRuns; i++ {
+			b, err := m.Match(g, p, graph.EdgeInduced, baseline.Options{TimeLimit: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.TimedOut {
+				timedOut = true
+				break
+			}
+			if b.Embeddings != embeddings {
+				t.Fatalf("%s disagrees on the count: %d vs %d",
+					m.Capabilities().Name, b.Embeddings, embeddings)
+			}
+			if i == 0 || b.Elapsed < best {
+				best = b.Elapsed
+			}
+		}
+		if !timedOut && best < csceTime {
+			t.Fatalf("Finding 1 violated: %s (best of %d: %v) faster than CSCE (best of %d: %v)",
+				m.Capabilities().Name, findingRuns, best, findingRuns, csceTime)
 		}
 	}
 }

@@ -82,11 +82,6 @@ const (
 	// FsyncAlways syncs after every committed batch: an acknowledged
 	// mutation survives power loss. The commit path pays one fsync.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background timer (Durability.FsyncEvery):
-	// a crash of the machine can lose up to one interval of acknowledged
-	// batches; a crash of only the process loses nothing (writes reached
-	// the page cache).
-	FsyncInterval
 	// FsyncNever leaves syncing to the OS: process crashes lose nothing,
 	// machine crashes lose whatever the kernel had not written back.
 	FsyncNever
@@ -97,8 +92,6 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncInterval:
-		return "interval"
 	case FsyncNever:
 		return "never"
 	default:
@@ -111,12 +104,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {
 	case "always":
 		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "never":
 		return FsyncNever, nil
 	default:
-		return 0, fmt.Errorf("live: unknown fsync policy %q (always, interval, never)", s)
+		return 0, fmt.Errorf("live: unknown fsync policy %q (always, never)", s)
 	}
 }
 
@@ -127,8 +118,6 @@ type Durability struct {
 	Dir string
 	// Fsync is the sync policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval period (default 100ms).
-	FsyncEvery time.Duration
 	// SegmentSize rotates the active segment once it exceeds this many
 	// bytes (default 4 MiB).
 	SegmentSize int64
@@ -140,9 +129,6 @@ type Durability struct {
 }
 
 func (d Durability) withDefaults() Durability {
-	if d.FsyncEvery <= 0 {
-		d.FsyncEvery = 100 * time.Millisecond
-	}
 	if d.SegmentSize <= 0 {
 		d.SegmentSize = 4 << 20
 	}
@@ -196,8 +182,8 @@ type segmentInfo struct {
 }
 
 // diskWAL owns the segment files of one graph. Appends are serialized by
-// the graph's writer lock; the internal mutex exists for the background
-// fsync timer and stats readers.
+// the graph's writer lock; the internal mutex exists for checkpoints and
+// stats readers.
 type diskWAL struct {
 	dir  string
 	opts Durability
@@ -207,14 +193,10 @@ type diskWAL struct {
 	cur         *os.File
 	curInfo     segmentInfo
 	sealed      []segmentInfo
-	dirty       bool  // bytes written since the last sync
 	failed      error // latched: a refused append could not be rolled back
 	fsyncs      uint64
 	checkpoints uint64
 	closed      bool
-
-	stopFlush chan struct{}
-	flushDone chan struct{}
 }
 
 // openDiskWAL scans (creating if needed) the WAL directory. The returned
@@ -490,8 +472,7 @@ func (d *diskWAL) replay(afterSeq uint64, fn func(Record) error) (replayed int, 
 }
 
 // openAppend makes the WAL writable: the last scanned segment is reopened
-// for appending (or a fresh one is created at nextSeq) and the background
-// fsync timer starts if the policy asks for one.
+// for appending (or a fresh one is created at nextSeq).
 func (d *diskWAL) openAppend(nextSeq uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -514,37 +495,7 @@ func (d *diskWAL) openAppend(nextSeq uint64) error {
 		}
 		d.cur, d.curInfo = f, info
 	}
-	if d.opts.Fsync == FsyncInterval {
-		d.stopFlush = make(chan struct{})
-		d.flushDone = make(chan struct{})
-		go d.flushLoop()
-	}
 	return nil
-}
-
-// flushLoop is the FsyncInterval timer: it syncs the active segment
-// whenever bytes were written since the last sync.
-func (d *diskWAL) flushLoop() {
-	defer close(d.flushDone)
-	t := time.NewTicker(d.opts.FsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stopFlush:
-			return
-		case <-t.C:
-			d.mu.Lock()
-			if d.dirty && d.cur != nil {
-				start := time.Now()
-				if err := d.cur.Sync(); err == nil {
-					d.dirty = false
-					d.fsyncs++
-					observe(d.obs.WALFsync, start)
-				}
-			}
-			d.mu.Unlock()
-		}
-	}
 }
 
 // append writes one committed batch as a single write(2), syncs per
@@ -609,7 +560,6 @@ func (d *diskWAL) writeLocked(buf []byte) error {
 		return fmt.Errorf("live: wal append: %w", err)
 	}
 	if d.opts.Fsync != FsyncAlways {
-		d.dirty = true
 		return nil
 	}
 	start := time.Now()
@@ -629,7 +579,6 @@ func (d *diskWAL) rotateLocked(nextSeq uint64) error {
 		return err
 	}
 	d.fsyncs++
-	d.dirty = false
 	f, info, err := createSegment(d.dir, nextSeq)
 	if err != nil {
 		return err
@@ -755,24 +704,14 @@ func (d *diskWAL) diskStats() (segments int, bytes int64, fsyncs, checkpoints ui
 	return segments, bytes, d.fsyncs, d.checkpoints
 }
 
-// close flushes, syncs, and closes the active segment and stops the
-// background fsync timer. Idempotent.
+// close syncs and closes the active segment. Idempotent.
 func (d *diskWAL) close() error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return nil
 	}
 	d.closed = true
-	stop := d.stopFlush
-	done := d.flushDone
-	d.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.cur == nil {
 		return nil
 	}

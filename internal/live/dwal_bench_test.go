@@ -41,7 +41,7 @@ func buildWALDir(tb testing.TB, dir string, batches int, d Durability) {
 // spread between "never" and "always" is the price of the strongest
 // durability guarantee (see EXPERIMENTS.md "Durable WAL").
 func BenchmarkWALAppend(b *testing.B) {
-	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncNever} {
 		b.Run(pol.String(), func(b *testing.B) {
 			g, err := Open("bench", core.NewEngine(graph.MustParse(pathGraph)),
 				Options{Durability: Durability{Dir: b.TempDir(), Fsync: pol}})

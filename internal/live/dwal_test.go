@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"csce/internal/core"
 	"csce/internal/graph"
@@ -313,16 +312,16 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFsyncPolicies exercises the interval and always policies end to end
+// TestFsyncPolicies exercises the always and never policies end to end
 // (the crash semantics differ, the data path must not) and the flag
-// spellings.
+// spellings; the removed interval policy must not parse.
 func TestFsyncPolicies(t *testing.T) {
-	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncNever} {
 		if parsed, err := ParseFsyncPolicy(pol.String()); err != nil || parsed != pol {
 			t.Fatalf("policy %v round-trip: %v %v", pol, parsed, err)
 		}
 		dir := t.TempDir()
-		opts := Options{Durability: Durability{Dir: dir, Fsync: pol, FsyncEvery: time.Millisecond}}
+		opts := Options{Durability: Durability{Dir: dir, Fsync: pol}}
 		g := openDurable(t, pathGraph, opts)
 		if _, err := g.Mutate(context.Background(), []Mutation{{Op: OpInsertEdge, Src: 2, Dst: 3}}); err != nil {
 			t.Fatal(err)
@@ -337,7 +336,9 @@ func TestFsyncPolicies(t *testing.T) {
 		}
 		r.Close()
 	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy spelling must error")
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParseFsyncPolicy(bad); err == nil {
+			t.Fatalf("policy spelling %q must error", bad)
+		}
 	}
 }

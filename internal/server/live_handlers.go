@@ -89,7 +89,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxPatternBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPatternBytes))
 	if err := dec.Decode(&req); err != nil {
 		s.metrics.mutationsBadRequest.Add(1)
 		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parse body: %v", err))

@@ -296,8 +296,8 @@ func (s *Server) seriesTable() []series {
 		gauge("queue_depth", func() any { return s.cfg.QueueDepth }),
 		gauge("mutate_in_flight", func() any { return s.mutAdm.inFlight() }),
 		gauge("mutate_queued", func() any { return s.mutAdm.queued() }),
-		gauge("mutate_slots", func() any { return s.cfg.MutateSlots }),
-		gauge("mutate_queue_depth", func() any { return s.cfg.MutateQueueDepth }),
+		gauge("mutate_slots", func() any { return mutateSlots }),
+		gauge("mutate_queue_depth", func() any { return mutateQueueDepth }),
 		gauge("graphs", func() any { return s.reg.Len() }),
 		gauge("slowlog_len", func() any { return s.slowlog.Len() }),
 		{"slow_query_threshold_ms", "slow_query_threshold_seconds", "gauge", func() any { return s.slowlog.Threshold() }},
@@ -319,9 +319,7 @@ func (s *Server) seriesTable() []series {
 			t = append(t, c)
 		}
 	}
-	if s.traceRing != nil {
-		t = append(t, gauge("trace_ring_len", func() any { return s.traceRing.Len() }))
-	}
+	t = append(t, gauge("trace_ring_len", func() any { return s.traceRing.Len() }))
 	// Trace-export self-telemetry: the span pipeline is as observable as
 	// the queries it describes.
 	if exp := s.exporter; exp != nil {
@@ -336,19 +334,16 @@ func (s *Server) seriesTable() []series {
 	}
 	// Runtime gauges from the runtime/metrics collector, which samples once
 	// at construction, so Latest always has a sample here.
-	if rc := s.runtime; rc != nil {
-		rt := func(get func(st obs.RuntimeStats) any) func() any {
-			return func() any { st, _ := rc.Latest(); return get(st) }
-		}
-		ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-		t = append(t,
-			series{"runtime.goroutines", "goroutines", "gauge", rt(func(st obs.RuntimeStats) any { return st.Goroutines })},
-			series{"runtime.heap_bytes", "heap_bytes", "gauge", rt(func(st obs.RuntimeStats) any { return st.HeapBytes })},
-			series{"runtime.gc_cycles", "gc_cycles", "counter", rt(func(st obs.RuntimeStats) any { return st.GCCycles })},
-			series{"runtime.gc_pause_p50_ms", "gc_pause_p50_seconds", "gauge", rt(func(st obs.RuntimeStats) any { return ms(st.GCPauseP50) })},
-			series{"runtime.gc_pause_max_ms", "gc_pause_max_seconds", "gauge", rt(func(st obs.RuntimeStats) any { return ms(st.GCPauseMax) })},
-			series{"runtime.sampled_at", "", "", rt(func(st obs.RuntimeStats) any { return st.SampledAt })},
-		)
+	rt := func(get func(st obs.RuntimeStats) any) func() any {
+		return func() any { st, _ := s.runtime.Latest(); return get(st) }
 	}
-	return t
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	return append(t,
+		series{"runtime.goroutines", "goroutines", "gauge", rt(func(st obs.RuntimeStats) any { return st.Goroutines })},
+		series{"runtime.heap_bytes", "heap_bytes", "gauge", rt(func(st obs.RuntimeStats) any { return st.HeapBytes })},
+		series{"runtime.gc_cycles", "gc_cycles", "counter", rt(func(st obs.RuntimeStats) any { return st.GCCycles })},
+		series{"runtime.gc_pause_p50_ms", "gc_pause_p50_seconds", "gauge", rt(func(st obs.RuntimeStats) any { return ms(st.GCPauseP50) })},
+		series{"runtime.gc_pause_max_ms", "gc_pause_max_seconds", "gauge", rt(func(st obs.RuntimeStats) any { return ms(st.GCPauseMax) })},
+		series{"runtime.sampled_at", "", "", rt(func(st obs.RuntimeStats) any { return st.SampledAt })},
+	)
 }

@@ -47,6 +47,30 @@ import (
 	"csce/internal/shard"
 )
 
+// Sizes the daemon does not expose as settings: no workload, test or
+// operator needed another value (OPERATIONS.md names the flags they
+// replaced).
+const (
+	// maxPatternBytes bounds a /match, /mutate or /v1/graphs request body.
+	maxPatternBytes = 1 << 20
+	// mutateSlots bounds concurrently applying mutation batches. Commits
+	// serialize on the writer lock anyway, so more slots would only buy
+	// queueing inside the lock; the valve exists so a mutation storm
+	// degrades into 429s instead of starving reads.
+	mutateSlots = 1
+	// mutateQueueDepth bounds mutations waiting for the slot; beyond it
+	// requests get 429.
+	mutateQueueDepth = 4 * mutateSlots
+	// slowLogSize bounds the /debug/slowlog ring.
+	slowLogSize = 128
+	// traceRingSize bounds the completed-trace ring behind
+	// /debug/trace/{id}.
+	traceRingSize = 256
+	// runtimeStatsInterval is the runtime/metrics polling period behind the
+	// goroutine/heap/GC gauges.
+	runtimeStatsInterval = 10 * time.Second
+)
+
 // Config sizes the daemon. The zero value is usable: New fills defaults.
 type Config struct {
 	// Addr is the listen address (default "127.0.0.1:8372"; use ":0" to
@@ -67,23 +91,9 @@ type Config struct {
 	// PlanCacheSize bounds the LRU of optimized plans (default 256;
 	// negative disables caching).
 	PlanCacheSize int
-	// MaxPatternBytes bounds the request body (default 1 MiB).
-	MaxPatternBytes int64
-	// MutateSlots bounds concurrently executing mutation batches; the valve
-	// is separate from MatchSlots so mutation storms cannot starve reads
-	// (default 1 — commits serialize on the writer lock anyway, so extra
-	// slots only buy queueing inside the lock).
-	MutateSlots int
-	// MutateQueueDepth bounds mutations waiting for a slot; beyond it
-	// requests get 429 (default 4×MutateSlots).
-	MutateQueueDepth int
 	// MaxMutationsPerBatch caps the mutations accepted in one request
 	// (default 4096).
 	MaxMutationsPerBatch int
-	// SubscriberBuffer is the per-subscription event buffer; a subscriber
-	// that falls this far behind is dropped instead of blocking commits
-	// (default 256).
-	SubscriberBuffer int
 	// WALRetention bounds each graph's in-memory mutation log (default
 	// 4096 entries; sequence numbers survive truncation). It is also the
 	// subscriber-resume horizon.
@@ -96,9 +106,6 @@ type Config struct {
 	// WALFsync is the segment fsync policy when WALDir is set (default
 	// live.FsyncAlways: acknowledged batches survive power loss).
 	WALFsync live.FsyncPolicy
-	// WALFsyncInterval is the background sync period under
-	// live.FsyncInterval (default 100ms).
-	WALFsyncInterval time.Duration
 	// WALSegmentSize rotates WAL segments past this many bytes (default
 	// 4 MiB).
 	WALSegmentSize int64
@@ -110,8 +117,6 @@ type Config struct {
 	// captured in /debug/slowlog with its trace, plan summary, and
 	// per-level execution profile (default 500ms; negative disables).
 	SlowQueryThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring buffer (default 128).
-	SlowLogSize int
 	// Logger receives one structured line per match query, stamped with
 	// the query's trace ID (default: discard).
 	Logger *slog.Logger
@@ -121,12 +126,6 @@ type Config struct {
 	// no tail spans are lost; it does not create it — csced builds one
 	// from -trace-endpoint.
 	TraceExporter *export.Exporter
-	// TraceRingSize bounds the completed-trace ring behind
-	// /debug/trace/{id} (default 256; negative disables retention).
-	TraceRingSize int
-	// RuntimeStatsInterval is the runtime/metrics polling period for the
-	// goroutine/heap/GC gauge surface (default 10s; negative disables).
-	RuntimeStatsInterval time.Duration
 	// DisablePrefilter turns off the O(pattern) admission pre-filters:
 	// queries skip the signature check and go straight to the slot wait and
 	// plan cache. Signatures are still maintained (they ride the WAL commit
@@ -157,20 +156,8 @@ func (c Config) withDefaults() Config {
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
 	}
-	if c.MaxPatternBytes <= 0 {
-		c.MaxPatternBytes = 1 << 20
-	}
-	if c.MutateSlots <= 0 {
-		c.MutateSlots = 1
-	}
-	if c.MutateQueueDepth == 0 {
-		c.MutateQueueDepth = 4 * c.MutateSlots
-	}
 	if c.MaxMutationsPerBatch <= 0 {
 		c.MaxMutationsPerBatch = 4096
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 256
 	}
 	if c.WALRetention <= 0 {
 		c.WALRetention = 4096
@@ -181,17 +168,8 @@ func (c Config) withDefaults() Config {
 	if c.SlowQueryThreshold < 0 {
 		c.SlowQueryThreshold = 0 // obs.SlowLog treats ≤0 as disabled
 	}
-	if c.SlowLogSize <= 0 {
-		c.SlowLogSize = 128
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.TraceRingSize == 0 {
-		c.TraceRingSize = 256
-	}
-	if c.RuntimeStatsInterval == 0 {
-		c.RuntimeStatsInterval = 10 * time.Second
 	}
 	return c
 }
@@ -213,7 +191,7 @@ type Server struct {
 
 	// Telemetry export surface: the completed-trace ring behind
 	// /debug/trace/{id}, the (optional, csced-built) span exporter, the
-	// runtime-stats collector, and the composite sink new traces get.
+	// runtime/metrics collector, and the composite sink new traces get.
 	traceRing *obs.TraceRing
 	exporter  *export.Exporter
 	runtime   *obs.RuntimeCollector
@@ -229,33 +207,27 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     NewRegistry(),
-		adm:     newAdmission(cfg.MatchSlots, cfg.QueueDepth),
-		mutAdm:  newAdmission(cfg.MutateSlots, cfg.MutateQueueDepth),
-		plans:   lru.New[*plan.Plan](cfg.PlanCacheSize),
-		metrics: newMetrics(),
-		slowlog: obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowQueryThreshold),
-		log:     cfg.Logger,
-		started: time.Now(),
-	}
-	if cfg.TraceRingSize > 0 {
-		s.traceRing = obs.NewTraceRing(cfg.TraceRingSize)
-	}
-	s.exporter = cfg.TraceExporter
-	if cfg.RuntimeStatsInterval > 0 {
-		s.runtime = obs.NewRuntimeCollector(cfg.RuntimeStatsInterval)
+		cfg:       cfg,
+		reg:       NewRegistry(),
+		adm:       newAdmission(cfg.MatchSlots, cfg.QueueDepth),
+		mutAdm:    newAdmission(mutateSlots, mutateQueueDepth),
+		plans:     lru.New[*plan.Plan](cfg.PlanCacheSize),
+		metrics:   newMetrics(),
+		slowlog:   obs.NewSlowLog(slowLogSize, cfg.SlowQueryThreshold),
+		log:       cfg.Logger,
+		started:   time.Now(),
+		traceRing: obs.NewTraceRing(traceRingSize),
+		exporter:  cfg.TraceExporter,
+		runtime:   obs.NewRuntimeCollector(runtimeStatsInterval),
 	}
 	s.sink = traceSink{ring: s.traceRing, exp: s.exporter}
 	s.series = s.seriesTable()
 	s.reg.LiveOpts = live.Options{
-		SubscriberBuffer: cfg.SubscriberBuffer,
-		WALRetention:     cfg.WALRetention,
+		WALRetention: cfg.WALRetention,
 		// Dir stays empty here; Registry.Add derives each graph's own
 		// subdirectory from WALRoot.
 		Durability: live.Durability{
 			Fsync:        cfg.WALFsync,
-			FsyncEvery:   cfg.WALFsyncInterval,
 			SegmentSize:  cfg.WALSegmentSize,
 			KeepSegments: cfg.WALKeepSegments,
 		},
@@ -433,7 +405,7 @@ func (s *Server) parseMatchParams(r *http.Request) (matchParams, error) {
 // lock is taken, so one client's slow upload never holds up another's
 // parse.
 func (s *Server) parsePattern(r *http.Request, w http.ResponseWriter, ent *Entry) (*graph.Graph, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxPatternBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPatternBytes))
 	if err != nil {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}

@@ -42,7 +42,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	}
 
 	names := graph.NewLabelTable()
-	g, err := graph.ParseWith(http.MaxBytesReader(w, r.Body, s.cfg.MaxPatternBytes), names)
+	g, err := graph.ParseWith(http.MaxBytesReader(w, r.Body, maxPatternBytes), names)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parse graph: %v", err))
 		return

@@ -21,9 +21,7 @@ type traceSink struct {
 
 // TraceFinished implements obs.SpanSink.
 func (ts traceSink) TraceFinished(ft obs.FinishedTrace) bool {
-	if ts.ring != nil {
-		ts.ring.Add(ft)
-	}
+	ts.ring.Add(ft)
 	if ts.exp == nil {
 		return false
 	}
@@ -48,10 +46,6 @@ func traceURL(id obs.TraceID) string { return "/debug/trace/" + string(id) }
 // from the ring" — the ring is fixed-size by design.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := obs.TraceID(r.PathValue("id"))
-	if s.traceRing == nil {
-		jsonError(w, http.StatusNotFound, "trace retention disabled (TraceRingSize < 0)")
-		return
-	}
 	ft, ok := s.traceRing.Get(id)
 	if !ok {
 		jsonError(w, http.StatusNotFound, "trace not found (expired from ring or never captured)")
