@@ -21,12 +21,8 @@ func NewTraceRing(capacity int) *TraceRing {
 	return &TraceRing{ring: make([]FinishedTrace, 0, capacity)}
 }
 
-// Add retains a finished trace, evicting the oldest when full. Nil-safe:
-// a nil ring (retention disabled) retains nothing.
+// Add retains a finished trace, evicting the oldest when full.
 func (r *TraceRing) Add(ft FinishedTrace) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.ring) < cap(r.ring) {
@@ -38,11 +34,7 @@ func (r *TraceRing) Add(ft FinishedTrace) {
 }
 
 // Get returns the retained trace with the given ID, if still present.
-// Nil-safe: a nil ring misses.
 func (r *TraceRing) Get(id TraceID) (FinishedTrace, bool) {
-	if r == nil {
-		return FinishedTrace{}, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Scan newest-first so a (theoretical) ID collision resolves to the
@@ -56,23 +48,9 @@ func (r *TraceRing) Get(id TraceID) (FinishedTrace, bool) {
 	return FinishedTrace{}, false
 }
 
-// Len returns how many traces are retained (≤ capacity). Nil-safe.
+// Len returns how many traces are retained (≤ capacity).
 func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.ring)
-}
-
-// Total returns how many traces were ever added, retained or evicted.
-// Nil-safe.
-func (r *TraceRing) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
 }

@@ -35,7 +35,7 @@ func NewTraceID() TraceID {
 // SpanID identifies one span within its trace. IDs are unique within a
 // trace and never zero; a zero Parent marks a child of the trace's root
 // span (the root itself has Parent zero too — it is the only span whose ID
-// equals Trace.Root()).
+// equals FinishedTrace.Root).
 type SpanID uint64
 
 // MarshalText renders the ID as 16 lowercase hex characters (the wire form
@@ -139,13 +139,18 @@ type Trace struct {
 	done  bool
 }
 
+// spanCap presizes a trace's span slice: a store-path match records about
+// ten spans, a sharded one 1 + 8 + K, so most traces never grow it.
+const spanCap = 16
+
 // NewTrace starts a trace now under a fresh ID and allocates its root
 // span ID (the root span itself is materialized by Finish).
 func NewTrace() *Trace {
 	id := NewTraceID()
 	var raw [8]byte
 	_, _ = hex.Decode(raw[:], []byte(id))
-	t := &Trace{ID: id, Begin: time.Now(), idBase: binary.BigEndian.Uint64(raw[:]) | 1}
+	t := &Trace{ID: id, Begin: time.Now(), idBase: binary.BigEndian.Uint64(raw[:]) | 1,
+		spans: make([]Span, 0, spanCap)}
 	t.root = t.newSpanID()
 	return t
 }
@@ -159,14 +164,6 @@ func (t *Trace) newSpanID() SpanID {
 		id = 1
 	}
 	return id
-}
-
-// Root returns the trace's root span ID. Nil-safe.
-func (t *Trace) Root() SpanID {
-	if t == nil {
-		return 0
-	}
-	return t.root
 }
 
 // endSpan records one completed span.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,29 @@ type collectedSpan struct {
 	ParentSpanID string `json:"parentSpanId"`
 	Name         string `json:"name"`
 	Kind         int    `json:"kind"`
+	Attributes   []struct {
+		Key   string `json:"key"`
+		Value struct {
+			IntValue *string `json:"intValue"`
+		} `json:"value"`
+	} `json:"attributes"`
+}
+
+// intAttr returns the span's integer attribute under key, and whether it
+// is present.
+func (sp collectedSpan) intAttr(t *testing.T, key string) (int64, bool) {
+	t.Helper()
+	for _, a := range sp.Attributes {
+		if a.Key != key || a.Value.IntValue == nil {
+			continue
+		}
+		n, err := strconv.ParseInt(*a.Value.IntValue, 10, 64)
+		if err != nil {
+			t.Fatalf("%s attribute %s = %q: %v", sp.Name, key, *a.Value.IntValue, err)
+		}
+		return n, true
+	}
+	return 0, false
 }
 
 func waitForCond(t *testing.T, what string, cond func() bool) {
@@ -87,9 +111,10 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 
 // TestShardedMatchExportsOTLPTraceTree is the acceptance path: a sharded
 // match against a daemon wired to an OTLP collector must produce ONE trace
-// whose span tree reads admission → shard.plan → shard.scatter → per-shard
-// shard.local (with the core/exec spans nested under each) → shard.join →
-// exec → stream, all under the same trace ID with consistent parent links.
+// whose span tree reads admission → shard.plan → shard.scatter → one
+// shard.local per shard → shard.join → exec → stream, all under the same
+// trace ID with consistent parent links. A shard's twig searches record no
+// spans: their counts and summed times are attributes of its shard.local.
 func TestShardedMatchExportsOTLPTraceTree(t *testing.T) {
 	var c fakeCollector
 	col := httptest.NewServer(c.handler())
@@ -107,7 +132,7 @@ func TestShardedMatchExportsOTLPTraceTree(t *testing.T) {
 	if traceID == "" {
 		t.Fatal("match response missing X-Trace-Id")
 	}
-	readStream(t, resp)
+	_, summary := readStream(t, resp)
 
 	wantTID := "0000000000000000" + traceID
 	waitForCond(t, "trace at collector", func() bool {
@@ -171,23 +196,34 @@ func TestShardedMatchExportsOTLPTraceTree(t *testing.T) {
 	if len(locals) != shards {
 		t.Fatalf("want %d shard.local spans, got %d", shards, len(locals))
 	}
-	localIDs := map[string]bool{}
+	var localSteps int64
 	for _, sp := range locals {
 		if sp.ParentSpanID != scatterID {
 			t.Fatalf("shard.local parent = %s, want shard.scatter %s", sp.ParentSpanID, scatterID)
 		}
-		localIDs[sp.SpanID] = true
-	}
-	// The per-shard engine spans nest under their shard.local, not the root.
-	for _, name := range []string{"core.read", "core.plan", "exec.search"} {
-		if len(byName[name]) == 0 {
-			t.Fatalf("no %s spans under the scatter (names: %v)", name, names(spans))
-		}
-		for _, sp := range byName[name] {
-			if !localIDs[sp.ParentSpanID] {
-				t.Fatalf("%s parent = %s, want one of the shard.local spans", name, sp.ParentSpanID)
+		for _, key := range []string{"shard", "epoch", "twigs", "rows", "steps", "read_us", "plan_us", "search_us"} {
+			if _, ok := sp.intAttr(t, key); !ok {
+				t.Fatalf("shard.local %s has no %s attribute", sp.SpanID, key)
 			}
 		}
+		steps, _ := sp.intAttr(t, "steps")
+		localSteps += steps
+	}
+	// A shard's twig searches are summed into its shard.local: no engine
+	// span appears, so the span count does not grow with the twig count.
+	for _, name := range []string{"core.read", "core.plan", "exec.search"} {
+		if n := len(byName[name]); n != 0 {
+			t.Fatalf("%d %s spans in a sharded trace (names: %v)", n, name, names(spans))
+		}
+	}
+	if want := 1 + 8 + shards; len(spans) != want {
+		t.Fatalf("sharded trace has %d spans, want %d (names: %v)", len(spans), want, names(spans))
+	}
+	if localSteps == 0 {
+		t.Fatal("shard.local spans report no search steps")
+	}
+	if steps, _ := summary["steps"].(float64); int64(steps) != localSteps {
+		t.Fatalf("shard.local steps sum to %d, reply summary says %v", localSteps, summary["steps"])
 	}
 
 	// The same trace is retrievable from the ring.

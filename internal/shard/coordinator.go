@@ -436,7 +436,8 @@ func (c *Coordinator) decompose(p *graph.Graph, mode plan.Mode) (*Decomposition,
 // to every shard in parallel, then join the partials on shared query
 // vertices, streaming full embeddings. When ctx carries an obs.Trace,
 // "shard.scatter", per-shard "shard.local", and "shard.join" spans record
-// the breakdown.
+// the breakdown; a shard's twig searches add no spans of their own, their
+// summed read/plan/search times ride on its shard.local.
 // Cancellation mid-search is graceful: partial counts return with
 // Cancelled set and a nil error, mirroring core.Match.
 func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptions) (MatchResult, error) {
@@ -488,10 +489,8 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	endDecomp(obs.Int("twigs", int64(res.Twigs)), obs.Str("cache", lru.Outcome(hit)))
 
 	// Scatter: one MatchPartial per shard, all twigs against one pinned
-	// snapshot each, in parallel. Span nesting follows the fan-out: each
-	// shard's "shard.local" is a child of "shard.scatter", and the local
-	// context flows into MatchPartial so core.read/core.plan/exec.search
-	// nest under the shard that ran them.
+	// snapshot each, in parallel. Each shard's "shard.local" is a child of
+	// "shard.scatter" and is that shard's only span.
 	scatterCtx, endScatter := obs.StartSpanCtx(ctx, "shard.scatter")
 	scatterStart := time.Now()
 	req := PartialRequest{Twigs: dec.Twigs}
@@ -505,14 +504,19 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 			localCtx, endLocal := obs.StartSpanCtx(scatterCtx, "shard.local")
 			localStart := time.Now()
 			results[i], errs[i] = sh.MatchPartial(localCtx, req)
+			r := &results[i]
 			var rows uint64
-			for ti, tw := range results[i].Twigs {
+			for ti, tw := range r.Twigs {
 				rows += uint64(len(tw.Flat) / len(dec.Twigs[ti].QVerts))
 			}
 			endLocal(obs.Int("shard", int64(i)),
-				obs.Int("epoch", int64(results[i].Epoch)),
+				obs.Int("epoch", int64(r.Epoch)),
+				obs.Int("twigs", int64(len(dec.Twigs))),
 				obs.Int("rows", int64(rows)),
-				obs.Int("steps", int64(results[i].Steps)))
+				obs.Int("steps", int64(r.Steps)),
+				obs.Int("read_us", r.ReadTime.Microseconds()),
+				obs.Int("plan_us", r.PlanTime.Microseconds()),
+				obs.Int("search_us", r.ExecTime.Microseconds()))
 			if c.obsv.Local != nil {
 				c.obsv.Local(time.Since(localStart))
 			}

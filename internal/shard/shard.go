@@ -32,11 +32,13 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"csce/internal/ccsr"
 	"csce/internal/core"
 	"csce/internal/graph"
 	"csce/internal/live"
+	"csce/internal/obs"
 	"csce/internal/plan"
 )
 
@@ -151,11 +153,16 @@ type TwigMatches struct {
 }
 
 // PartialResult is one shard's answer: per-twig rows rooted at vertices
-// the shard owns, all read at Epoch.
+// the shard owns, all read at Epoch. Steps and the three times are summed
+// over the twigs the shard searched: cluster read, plan preparation and
+// search, as core.MatchResult splits them.
 type PartialResult struct {
 	Epoch     uint64
 	Twigs     []TwigMatches
 	Steps     uint64
+	ReadTime  time.Duration
+	PlanTime  time.Duration
+	ExecTime  time.Duration
 	Cancelled bool
 }
 
@@ -206,7 +213,15 @@ func newLocalShard(id int, g *live.Graph, own *ownership) *localShard {
 	return &localShard{id: id, g: g, own: own}
 }
 
+// MatchPartial runs every twig under a context that cancels with ctx but
+// carries no trace, so the per-twig core.read/core.plan/exec.search spans
+// are never started: the coordinator's one shard.local span reports the
+// twigs' summed times instead (3 × twigs spans per shard cost more than
+// they told; EXPERIMENTS.md "Tracing cost").
 func (sh *localShard) MatchPartial(ctx context.Context, req PartialRequest) (PartialResult, error) {
+	if obs.TraceFrom(ctx) != nil {
+		ctx = obs.WithTrace(ctx, nil)
+	}
 	snap := sh.g.Acquire()
 	defer snap.Release()
 	eng := snap.Engine()
@@ -242,6 +257,9 @@ func (sh *localShard) MatchPartial(ctx context.Context, req PartialRequest) (Par
 			return out, err
 		}
 		out.Steps += res.Exec.Steps
+		out.ReadTime += res.ReadTime
+		out.PlanTime += res.PlanTime
+		out.ExecTime += res.ExecTime
 		if res.Exec.Cancelled {
 			out.Cancelled = true
 			return out, nil
