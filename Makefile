@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint docscheck bench-selftest fuzz-smoke ci bench-obs bench-serve bench-prefilter
+.PHONY: build test race vet lint docscheck bench-selftest fuzz-smoke bench-smoke ci bench-obs bench-serve bench-prefilter
 
 build:
 	$(GO) build ./...
@@ -53,7 +53,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 10s ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/ccsr
 
-ci: build vet test race bench-selftest fuzz-smoke
+# Every in-process benchmark of the serving, sharded and single-store
+# match paths runs once (about a second once the test binaries are built):
+# a benchmark body never runs under `test`, so BenchmarkHandleMatch,
+# BenchmarkShardMatch and BenchmarkEngineMatch, which performance changes
+# cite, would otherwise rot unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/shard ./internal/core
+
+ci: build vet test race bench-selftest fuzz-smoke bench-smoke
 
 # Observability hot-path benchmarks plus the enforced budgets: <50ns/op on
 # histogram recording and <150ns/op on the span-export enqueue — the two

@@ -216,10 +216,12 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 		execOpts.SymmetryConstraints = plan.SymmetryConstraints(p, auts)
 		res.Automorphisms = len(auts)
 	}
-	endPlan(obs.Str("mode", pl.Mode.String()),
-		obs.Int("sce_vertices", int64(pl.SCE.SCEVertices)),
-		obs.Int("cluster_sce_vertices", int64(pl.SCE.ClusterSCEVertices)),
-		obs.Int("automorphisms", int64(res.Automorphisms)))
+	if obs.Traced(opts.Context) {
+		endPlan(obs.Str("mode", pl.Mode.String()),
+			obs.Int("sce_vertices", int64(pl.SCE.SCEVertices)),
+			obs.Int("cluster_sce_vertices", int64(pl.SCE.ClusterSCEVertices)),
+			obs.Int("automorphisms", int64(res.Automorphisms)))
+	}
 	res.PlanTime = time.Since(planStart)
 	res.Plan = pl
 

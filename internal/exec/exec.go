@@ -128,15 +128,17 @@ func Run(view *ccsr.View, pl *plan.Plan, opts Options) (Stats, error) {
 	}
 	// A traced context (obs.WithTrace) gets an "exec.search" span covering
 	// the backtracking loop — the deepest hop of the trace's propagation
-	// chain (server → core → exec). Untraced callers pay one nil check.
+	// chain (server → core → exec). Untraced callers build no attributes.
 	_, endSpan := obs.StartSpanCtx(opts.Ctx, "exec.search")
 	start := time.Now()
 	e.run()
 	e.stats.Elapsed = time.Since(start)
-	endSpan(obs.Int("embeddings", int64(e.stats.Embeddings)),
-		obs.Int("steps", int64(e.stats.Steps)),
-		obs.Int("candidate_builds", int64(e.stats.CandidateBuilds)),
-		obs.Int("candidate_reuses", int64(e.stats.CandidateReuses)))
+	if obs.Traced(opts.Ctx) {
+		endSpan(obs.Int("embeddings", int64(e.stats.Embeddings)),
+			obs.Int("steps", int64(e.stats.Steps)),
+			obs.Int("candidate_builds", int64(e.stats.CandidateBuilds)),
+			obs.Int("candidate_reuses", int64(e.stats.CandidateReuses)))
+	}
 	if e.prof != nil {
 		e.stats.Profile = &Profile{Levels: e.prof.levels, Elapsed: e.stats.Elapsed}
 	}

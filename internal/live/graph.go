@@ -404,10 +404,12 @@ func (g *Graph) Mutate(ctx context.Context, muts []Mutation) (Commit, error) {
 			edgesDel++
 		}
 	}
-	endApply(obs.Int("mutations", int64(len(muts))),
-		obs.Int("vertices_added", int64(vertsAdded)),
-		obs.Int("edges_inserted", int64(edgesIns)),
-		obs.Int("edges_deleted", int64(edgesDel)))
+	if tr != nil {
+		endApply(obs.Int("mutations", int64(len(muts))),
+			obs.Int("vertices_added", int64(vertsAdded)),
+			obs.Int("edges_inserted", int64(edgesIns)),
+			obs.Int("edges_deleted", int64(edgesDel)))
+	}
 
 	// Commit: log (durably first — a batch the disk refuses is aborted,
 	// not acknowledged), publish, notify. The swap is the commit point

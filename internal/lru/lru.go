@@ -49,6 +49,19 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Contains reports whether key is held. Unlike Get it counts no hit or
+// miss and leaves the recency order alone, so a caller may ask before the
+// Get that serves the request without counting that request twice.
+func (c *Cache[V]) Contains(key string) bool {
+	if c.cap <= 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
+}
+
 // Put stores val under key as the most recently used entry, replacing any
 // value already there, and evicts the least recently used beyond capacity.
 func (c *Cache[V]) Put(key string, val V) {

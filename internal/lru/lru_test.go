@@ -73,7 +73,8 @@ func TestDisabled(t *testing.T) {
 
 // TestConcurrentAccounting hammers the cache from many goroutines
 // (meaningful under -race) and checks what must survive any interleaving:
-// capacity is never exceeded and every get moved exactly one counter.
+// capacity is never exceeded and every get moved exactly one counter
+// (Contains moves none).
 func TestConcurrentAccounting(t *testing.T) {
 	const (
 		workers  = 8
@@ -88,6 +89,7 @@ func TestConcurrentAccounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				key := "k" + strconv.Itoa((w+i)%(2*capacity))
+				_ = c.Contains(key) // the admission lookup before the counted get
 				if _, ok := c.Get(key); !ok {
 					c.Put(key, i)
 				}
@@ -103,5 +105,30 @@ func TestConcurrentAccounting(t *testing.T) {
 	}
 	if gets := c.Hits() + c.Misses(); gets != workers*iters {
 		t.Fatalf("hits+misses = %d, want %d (every get moves exactly one counter)", gets, workers*iters)
+	}
+}
+
+// TestContainsCountsNothing: Contains answers like Get but moves no
+// counter and no recency, so asking before a Get does not change which key
+// is evicted next or how the Get is counted; a disabled cache holds nothing.
+func TestContainsCountsNothing(t *testing.T) {
+	c := New[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if !c.Contains("a") || c.Contains("z") {
+		t.Fatal("Contains disagrees with what was put")
+	}
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("Contains counted: hits=%d misses=%d", c.Hits(), c.Misses())
+	}
+	// a is still the least recently used: the next put evicts it.
+	c.Put("c", 3)
+	if c.Contains("a") || !c.Contains("b") || !c.Contains("c") {
+		t.Fatal("Contains refreshed recency: a should have been evicted")
+	}
+	d := New[int](0)
+	d.Put("a", 1)
+	if d.Contains("a") || d.Misses() != 0 {
+		t.Fatal("a disabled cache must contain nothing and count nothing")
 	}
 }

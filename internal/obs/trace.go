@@ -275,6 +275,13 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
+// Traced reports whether ctx carries a trace. A closer's attributes are a
+// variadic slice the caller builds even when the closer is a no-op, and
+// passed through a func value that slice escapes to the heap; a caller
+// whose closer takes several attributes asks Traced first, so an untraced
+// query builds none.
+func Traced(ctx context.Context) bool { return TraceFrom(ctx) != nil }
+
 // StartSpanCtx opens a named span as a child of the context's current span
 // (the root when no span is open) and returns a derived context under
 // which further spans nest below it, plus the closing func. Nil-safe: an

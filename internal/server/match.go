@@ -34,6 +34,11 @@ type matchQuery struct {
 // checks, plans, executes and mutates. storeBackend serves a single-store
 // graph, shardBackend a sharded one.
 type backend interface {
+	// planned reports, counting no cache hit or miss, whether the query's
+	// plan is cached at the graph's current epoch. A plan is cached only
+	// after the pre-filter admitted its pattern, so a planned query is
+	// admitted without checking it again.
+	planned(q *matchQuery) bool
 	// check runs the admission pre-filter for the pattern.
 	check(p *graph.Graph, v graph.Variant) prefilter.Decision
 	// run plans and executes an admitted query, handing each embedding to
@@ -89,8 +94,9 @@ type ending struct {
 }
 
 // handleMatch is the match pipeline. Its stages are the query's spans:
-// params + parse, prefilter, admission, plan, execute + stream, classify,
-// finish. Only plan and execute depend on the graph's backend.
+// params + parse, prefilter (on a plan-cache miss), admission, plan,
+// execute + stream, classify, finish. Only the cache lookup, the check,
+// plan and execute depend on the graph's backend.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// Every query gets a trace the moment it reaches the handler. The ID
 	// goes out in the response header immediately (even for rejections),
@@ -114,10 +120,15 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	// Prefilter: an O(pattern) probe of the graph's incrementally
 	// maintained signature runs before the slot wait, the snapshot pin and
-	// the plan cache, so a provably-empty query costs none of them — it gets
-	// a normal 200 summary with a zero count and the rejecting filter.
+	// the plan, so a provably-empty query costs none of them — it gets a
+	// normal 200 summary with a zero count and the rejecting filter. A query
+	// whose plan is cached at the current epoch skips it: the check admitted
+	// that pattern before the plan was cached, and a rejected pattern is
+	// never planned, so it is checked (and rejected) on every request. A
+	// skipped check leaves pre zero, which counts no check and no false
+	// admit.
 	var pre prefilter.Decision
-	if !s.cfg.DisablePrefilter {
+	if !s.cfg.DisablePrefilter && !be.planned(q) {
 		endCheck := q.tr.StartSpan("prefilter.check")
 		pre = be.check(q.pattern, q.params.variant)
 		s.metrics.recordPrefilterCheck(pre)
@@ -354,6 +365,10 @@ type storeBackend struct {
 	m     *metrics
 }
 
+func (b storeBackend) planned(q *matchQuery) bool {
+	return b.plans.Contains(planKey(b.ent.Name, b.ent.Live.Epoch(), q.params.variant, q.params.mode, q.pattern))
+}
+
 func (b storeBackend) check(p *graph.Graph, v graph.Variant) prefilter.Decision {
 	return b.ent.Live.Prefilter().Check(p, v)
 }
@@ -368,8 +383,10 @@ func (b storeBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 	eng, epoch := snap.Engine(), snap.Epoch()
 
 	// Plan. A cache hit costs a lookup; a miss pays GCF/DAG/LDSF. The key
-	// carries the snapshot epoch, so plans optimized against superseded
-	// statistics age out of the LRU instead of serving forever.
+	// carries the pinned snapshot's epoch, so plans optimized against
+	// superseded statistics age out of the LRU instead of serving forever,
+	// and the plan a query runs is always its own snapshot's — also when a
+	// commit landed after planned looked the key up.
 	_, endPlan := obs.StartSpanCtx(ctx, phasePlan)
 	planStart := time.Now()
 	key := planKey(b.ent.Name, epoch, q.params.variant, q.params.mode, q.pattern)
@@ -508,6 +525,10 @@ type shardBackend struct {
 	m *metrics
 }
 
+func (b shardBackend) planned(q *matchQuery) bool {
+	return b.c.Planned(q.pattern, q.params.variant, q.params.mode)
+}
+
 func (b shardBackend) check(p *graph.Graph, v graph.Variant) prefilter.Decision {
 	if v == graph.VertexInduced {
 		// The coordinator refuses the variant (422), and an unsupported
@@ -528,8 +549,8 @@ func (b shardBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 		Mode:        q.params.mode,
 		Limit:       q.params.limit,
 		OnEmbedding: emit,
-		// The pipeline checked the pre-filter before the slot wait whenever
-		// the coordinator would.
+		// The pipeline admitted the query before the slot wait, by a check
+		// or by a cached decomposition, whenever the coordinator would check.
 		SkipPrefilter: true,
 	})
 	if errors.Is(err, shard.ErrVertexInduced) || errors.Is(err, shard.ErrPattern) {

@@ -310,6 +310,17 @@ func (c *Coordinator) PrefilterCheck(p *graph.Graph, variant graph.Variant) pref
 	return prefilter.CheckMany(c.sigs, p, variant)
 }
 
+// Planned reports whether the decomposition cache holds p under variant
+// and mode at the current epoch vector, without counting a cache hit or
+// miss: Match's own lookup counts the query once. A decomposition is cached
+// only after PrefilterCheck admitted the pattern at that vector or an
+// earlier one, so the serving layer admits a planned pattern without
+// checking it again: at worst it misses a reject that a commit made
+// possible since, and a reject is never needed for a correct answer.
+func (c *Coordinator) Planned(p *graph.Graph, variant graph.Variant, mode plan.Mode) bool {
+	return c.decomp.Contains(decompKey(variant, mode, c.EpochVector(), p))
+}
+
 // CoordStats is the coordinator-level stats document.
 type CoordStats struct {
 	K                int    `json:"k"`
@@ -373,9 +384,10 @@ type MatchOptions struct {
 	// Limit stops after this many embeddings (0 = all), exact.
 	Limit uint64
 	// SkipPrefilter bypasses Match's admission check. Set it only when the
-	// caller already ran PrefilterCheck for this exact pattern and variant
-	// (the serving layer checks before taking an admission slot, so the
-	// scatter path must not check — and count — the query twice).
+	// caller already ran PrefilterCheck for this exact pattern and variant,
+	// or found it Planned (the serving layer admits before taking an
+	// admission slot, so the scatter path must not check — and count — the
+	// query twice).
 	SkipPrefilter bool
 	// OnEmbedding receives each full embedding, indexed by pattern
 	// vertex. The slice is reused between calls — copy to retain. Return
@@ -504,19 +516,21 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 			localCtx, endLocal := obs.StartSpanCtx(scatterCtx, "shard.local")
 			localStart := time.Now()
 			results[i], errs[i] = sh.MatchPartial(localCtx, req)
-			r := &results[i]
-			var rows uint64
-			for ti, tw := range r.Twigs {
-				rows += uint64(len(tw.Flat) / len(dec.Twigs[ti].QVerts))
+			if obs.Traced(localCtx) {
+				r := &results[i]
+				var rows uint64
+				for ti, tw := range r.Twigs {
+					rows += uint64(len(tw.Flat) / len(dec.Twigs[ti].QVerts))
+				}
+				endLocal(obs.Int("shard", int64(i)),
+					obs.Int("epoch", int64(r.Epoch)),
+					obs.Int("twigs", int64(len(dec.Twigs))),
+					obs.Int("rows", int64(rows)),
+					obs.Int("steps", int64(r.Steps)),
+					obs.Int("read_us", r.ReadTime.Microseconds()),
+					obs.Int("plan_us", r.PlanTime.Microseconds()),
+					obs.Int("search_us", r.ExecTime.Microseconds()))
 			}
-			endLocal(obs.Int("shard", int64(i)),
-				obs.Int("epoch", int64(r.Epoch)),
-				obs.Int("twigs", int64(len(dec.Twigs))),
-				obs.Int("rows", int64(rows)),
-				obs.Int("steps", int64(r.Steps)),
-				obs.Int("read_us", r.ReadTime.Microseconds()),
-				obs.Int("plan_us", r.PlanTime.Microseconds()),
-				obs.Int("search_us", r.ExecTime.Microseconds()))
 			if c.obsv.Local != nil {
 				c.obsv.Local(time.Since(localStart))
 			}
