@@ -54,12 +54,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/ccsr
 
 # Every in-process benchmark of the serving, sharded and single-store
-# match paths runs once (about a second once the test binaries are built):
-# a benchmark body never runs under `test`, so BenchmarkHandleMatch,
-# BenchmarkShardMatch and BenchmarkEngineMatch, which performance changes
-# cite, would otherwise rot unnoticed.
+# match paths and of the executor runs once (about a second once the test
+# binaries are built): a benchmark body never runs under `test`, so
+# BenchmarkHandleMatch, BenchmarkShardMatch, BenchmarkEngineMatch and
+# BenchmarkExtend, which performance changes cite, would otherwise rot
+# unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/shard ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/shard ./internal/core ./internal/exec
 
 ci: build vet test race bench-selftest fuzz-smoke bench-smoke
 

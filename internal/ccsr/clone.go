@@ -59,6 +59,7 @@ func (s *Store) Clone() *Store {
 		s.own = nil
 	}
 	out := *s
+	out.touch()
 	return &out
 }
 

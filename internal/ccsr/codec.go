@@ -254,6 +254,7 @@ func Decode(r io.Reader) (*Store, error) {
 		clusterAt: make(map[Key]int),
 		pairIndex: make(map[pairKey][]Key),
 	}
+	s.touch()
 	var err error
 	if s.vertexLabels, err = readInts[graph.Label](br, head.NV, "vertex labels"); err != nil {
 		return nil, err

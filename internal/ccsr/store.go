@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"csce/internal/graph"
 )
@@ -33,7 +34,23 @@ type Store struct {
 	// means the store owns nothing, which is the state Build, Decode and
 	// Clone leave it in.
 	own *ownership
+
+	// version identifies the store's contents (see Version).
+	version uint64
 }
+
+// versions hands out store versions; zero is never one.
+var versions atomic.Uint64
+
+// Version identifies what the store holds: Build, Decode and Clone give
+// each store a fresh one, and every write (AddVertex, InsertEdge,
+// DeleteEdge) another, so something derived from a store at one version —
+// a compiled exec program — can tell the store it was made from without
+// holding a pointer to it.
+func (s *Store) Version() uint64 { return s.version }
+
+// touch gives the store a fresh version.
+func (s *Store) touch() { s.version = versions.Add(1) }
 
 // Build clusters every edge of g into its isomorphism class and builds
 // each cluster. Time is O(|E| log |E|) from the per-cluster sorts, matching
@@ -49,6 +66,7 @@ func Build(g *graph.Graph) *Store {
 		numEdges:     g.NumEdges(),
 		names:        g.Names,
 	}
+	s.touch()
 	for _, l := range s.vertexLabels {
 		s.labelFreq[l]++
 	}

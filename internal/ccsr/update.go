@@ -41,6 +41,7 @@ const (
 // a row directory lists non-empty rows only.
 func (s *Store) AddVertex(l graph.Label) graph.VertexID {
 	s.ownLabels()
+	s.touch()
 	s.vertexLabels = append(s.vertexLabels, l)
 	s.labelFreq[l]++
 	s.numVertices++
@@ -57,6 +58,7 @@ func (s *Store) InsertEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 	if s.hasEdge(src, dst, el) {
 		return fmt.Errorf("ccsr: edge (%d,%d,e%d) already present", src, dst, el)
 	}
+	s.touch()
 	key := NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed)
 	c := s.writableCluster(key)
 	if c == nil {
@@ -92,6 +94,7 @@ func (s *Store) DeleteEdge(src, dst graph.VertexID, el graph.EdgeLabel) error {
 	if !s.hasEdge(src, dst, el) {
 		return fmt.Errorf("ccsr: edge (%d,%d,e%d) not present", src, dst, el)
 	}
+	s.touch()
 	c := s.writableCluster(NewKey(s.vertexLabels[src], s.vertexLabels[dst], el, s.directed))
 	before := c.Bytes()
 	// If the edge is still in the insert overlay, cancel it there;

@@ -14,7 +14,9 @@ import (
 // every csced match takes. The traced sub-benchmark runs each match under
 // a fresh obs.Trace and finishes it, as csced does for every request; the
 // untraced one runs it on a bare context, so the pair is the cost of the
-// core.read, core.plan and exec.search spans.
+// core.read, core.plan and exec.search spans. The compiled one runs each
+// pattern from a program compiled once up front, untraced, as csced does on
+// a plan-cache hit: no read, no plan, no executor build per match.
 //
 //	go test -run '^$' -bench BenchmarkEngineMatch -benchmem ./internal/core
 func BenchmarkEngineMatch(b *testing.B) {
@@ -48,4 +50,21 @@ func BenchmarkEngineMatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("compiled", func(b *testing.B) {
+		progs := make([]MatchOptions, len(patterns))
+		for i, p := range patterns {
+			res, err := e.Match(p, MatchOptions{Variant: graph.EdgeInduced, Compile: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs[i] = MatchOptions{Variant: graph.EdgeInduced, Context: context.Background(), Program: res.Program}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Match(patterns[i%len(patterns)], progs[i%len(progs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -109,6 +109,19 @@ type MatchOptions struct {
 	// connected order is chosen; the sharded coordinator runs one
 	// homomorphic twig plan on every shard this way.
 	PreparedPlan *plan.Plan
+	// Program, when non-nil, is run in place of the read and plan stages:
+	// a plan already compiled against this engine's store (exec.Compile,
+	// or a MatchResult.Program) for the same pattern and variant. Match
+	// neither reads clusters nor builds the executor from the plan; the
+	// "core.read" span reports the program's cluster count. PreparedPlan
+	// and Mode are ignored. A program compiled against any other store
+	// fails with exec.ErrForeignStore. The serving layer's plan cache holds
+	// programs, so a cache hit costs one per-run instantiation.
+	Program *exec.Program
+	// Compile, when Program is nil, compiles the plan into a program, runs
+	// that, and returns it in MatchResult.Program for later tasks on the
+	// same store. Without it the executor is built for this task alone.
+	Compile bool
 	// OnEmbedding receives each embedding, indexed by pattern vertex ID.
 	// Return false to stop. Disables factorized counting.
 	OnEmbedding func(mapping []graph.VertexID) bool
@@ -155,6 +168,9 @@ type MatchResult struct {
 	Exec exec.Stats
 	// Profile is the per-level execution profile when requested.
 	Profile *exec.Profile
+	// Program is the compiled program the task ran when MatchOptions.Compile
+	// was set, else nil.
+	Program *exec.Program
 }
 
 // Total returns the end-to-end time, the paper's primary metric.
@@ -180,14 +196,23 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 			return res, err
 		}
 	}
+	prog := opts.Program
+	if prog != nil && prog.Plan().Variant != opts.Variant {
+		return res, fmt.Errorf("core: program compiled for variant %s, task asks %s", prog.Plan().Variant, opts.Variant)
+	}
 	_, endRead := obs.StartSpanCtx(opts.Context, "core.read")
 	readStart := time.Now()
-	view, err := e.store.ReadCSR(p, opts.Variant)
-	if err != nil {
-		return res, fmt.Errorf("core: read clusters: %w", err)
+	var view *ccsr.View
+	if prog != nil {
+		res.ClustersRead, res.ViewBytes = prog.Clusters(), prog.ViewBytes()
+	} else {
+		var err error
+		if view, err = e.store.ReadCSR(p, opts.Variant); err != nil {
+			return res, fmt.Errorf("core: read clusters: %w", err)
+		}
+		res.ClustersRead = view.NumClusters()
+		res.ViewBytes = view.DecompressedBytes()
 	}
-	res.ClustersRead = view.NumClusters()
-	res.ViewBytes = view.DecompressedBytes()
 	endRead(obs.Int("clusters", int64(res.ClustersRead)),
 		obs.Int("view_bytes", int64(res.ViewBytes)))
 	res.ReadTime = time.Since(readStart)
@@ -195,7 +220,9 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 	_, endPlan := obs.StartSpanCtx(opts.Context, "core.plan")
 	planStart := time.Now()
 	pl := opts.PreparedPlan
-	if pl == nil {
+	if prog != nil {
+		pl = prog.Plan()
+	} else if pl == nil {
 		var err error
 		pl, err = plan.Optimize(p, e.store, opts.Variant, opts.Mode)
 		if err != nil {
@@ -225,7 +252,20 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 	res.PlanTime = time.Since(planStart)
 	res.Plan = pl
 
-	st, err := exec.Run(view, pl, execOpts)
+	var st exec.Stats
+	var err error
+	switch {
+	case prog != nil:
+		st, err = prog.Run(e.store, execOpts)
+	case opts.Compile:
+		var compiled *exec.Program
+		if compiled, err = exec.Compile(view, pl); err == nil {
+			res.Program = compiled
+			st, err = compiled.Run(e.store, execOpts)
+		}
+	default:
+		st, err = exec.Run(view, pl, execOpts)
+	}
 	if err != nil {
 		return res, fmt.Errorf("core: execute: %w", err)
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"csce/internal/baseline"
 	"csce/internal/dataset"
+	"csce/internal/exec"
 	"csce/internal/graph"
 	"csce/internal/plan"
 )
@@ -325,5 +327,49 @@ func TestEngineSaveLoadLabelEquivalence(t *testing.T) {
 					patText, variant, direct, viaIndex)
 			}
 		}
+	}
+}
+
+// TestMatchCompiledProgram: a program compiled by one Match serves later
+// tasks on the same engine with the same counts and the view's cluster
+// count, without a read; it refuses another variant, and a write to the
+// engine retires it.
+func TestMatchCompiledProgram(t *testing.T) {
+	e := NewEngine(graph.Clique(6, 0))
+	tri := graph.Clique(3, 0)
+	first, err := e.Match(tri, MatchOptions{Variant: graph.VertexInduced, Compile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Program == nil || first.Embeddings != 120 {
+		t.Fatalf("compiling match: program %v, %d embeddings; want a program and 120", first.Program, first.Embeddings)
+	}
+	for _, opts := range []MatchOptions{
+		{Variant: graph.VertexInduced},
+		{Variant: graph.VertexInduced, SymmetryBreaking: true},
+		{Variant: graph.VertexInduced, Limit: 7},
+	} {
+		want, err := e.Match(tri, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Program = first.Program
+		got, err := e.Match(tri, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Embeddings != want.Embeddings || got.Exec.Steps != want.Exec.Steps ||
+			got.ClustersRead != want.ClustersRead || got.ViewBytes != want.ViewBytes || got.Program != nil {
+			t.Errorf("%+v: program run %+v, one-shot %+v", opts, got, want)
+		}
+	}
+	if _, err := e.Match(tri, MatchOptions{Variant: graph.EdgeInduced, Program: first.Program}); err == nil {
+		t.Error("a vertex-induced program ran an edge-induced task")
+	}
+	if err := e.DeleteEdge(0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Match(tri, MatchOptions{Variant: graph.VertexInduced, Program: first.Program}); !errors.Is(err, exec.ErrForeignStore) {
+		t.Errorf("a program ran after a write to its store: %v", err)
 	}
 }

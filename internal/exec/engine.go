@@ -81,6 +81,8 @@ type level struct {
 }
 
 type engine struct {
+	// view is the cluster selection the chains are resolved from; nil on a
+	// run of a compiled Program, which resolved them once at Compile.
 	view *ccsr.View
 	pl   *plan.Plan
 	opts Options
@@ -105,22 +107,36 @@ type engine struct {
 // returns (nil, nil) when some pattern edge has no matching cluster, which
 // means the result is trivially empty.
 func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
-	p := pl.Pattern
+	e := newRunState(pl, opts, view.NumVertices())
+	e.view = view
+	depthOf, ok, err := e.resolve()
+	if !ok || err != nil {
+		return nil, err
+	}
+	if !e.applyOptions(view.Store(), depthOf) {
+		return nil, nil
+	}
+	return e, nil
+}
+
+// newRunState allocates what one run writes: the levels, the mapping, the
+// version counters and, for an injective variant, the used marks over the
+// numVertices data vertices.
+func newRunState(pl *plan.Plan, opts Options, numVertices int) *engine {
 	n := len(pl.Order)
 	e := &engine{
-		view:    view,
 		pl:      pl,
 		opts:    opts,
 		n:       n,
 		levels:  make([]level, n),
 		mapping: make([]graph.VertexID, n),
-		byVert:  make([]graph.VertexID, p.NumVertices()),
+		byVert:  make([]graph.VertexID, pl.Pattern.NumVertices()),
 		version: make([]uint64, n),
 	}
 	if pl.Variant.Injective() {
 		// Only injective variants read used; a homomorphic run skips the
 		// |V|-sized allocation and its zeroing.
-		e.used = make([]bool, view.NumVertices())
+		e.used = make([]bool, numVertices)
 	}
 	if opts.TimeLimit > 0 {
 		e.deadline = time.Now().Add(opts.TimeLimit)
@@ -128,8 +144,19 @@ func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
 	if opts.Ctx != nil {
 		e.done = opts.Ctx.Done()
 	}
+	return e
+}
 
-	depthOf := make([]int, p.NumVertices())
+// resolve fills in what the plan and e.view alone determine: every level's
+// vertex, label and ordered filter chain, the depth-0 pool, the NEC
+// aliases and the static factorization flags. It returns the depth of each
+// pattern vertex, and ok=false when some pattern edge has no matching
+// cluster, which means the result is trivially empty.
+func (e *engine) resolve() (depthOf []int, ok bool, err error) {
+	pl := e.pl
+	p := pl.Pattern
+	n := e.n
+	depthOf = make([]int, p.NumVertices())
 	for d, u := range pl.Order {
 		depthOf[u] = d
 	}
@@ -155,9 +182,8 @@ func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
 		// vertex, resolved to the cluster side whose rows are indexed by the
 		// earlier vertex's mapping.
 		lo := len(slab)
-		var ok bool
 		if slab, ok = e.appendPositive(slab, lv, d, depthOf); !ok {
-			return nil, nil // missing cluster: no embeddings exist
+			return nil, false, nil // missing cluster: no embeddings exist
 		}
 		// Negation rows come from the dependency DAG: an H-parent that is
 		// not a pattern neighbor is a vertex-induced negation dependency.
@@ -179,21 +205,45 @@ func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
 		lv := &e.levels[d]
 		lv.stages = slab[spans[d][0]:spans[d][1]:spans[d][1]]
 		if !orderStages(lv.stages) {
-			return nil, errInternal("order position %d (u%d) has no earlier pattern neighbor", d, lv.u)
+			return nil, false, errInternal("order position %d (u%d) has no earlier pattern neighbor", d, lv.u)
 		}
 	}
 
 	// Depth 0 candidate pool: the smallest incident cluster's non-empty
 	// rows, filtered to the right label.
 	if err := e.buildPool(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if e.levels[0].pool == nil {
-		return nil, nil
+		return nil, false, nil
 	}
 
 	e.bindNECAliases(depthOf)
+	return depthOf, true, nil
+}
 
+// applyOptions adds what the run's options change to the resolved levels:
+// symmetry constraints, pinned vertices and the factorization switches, and
+// it drops the NEC aliases when the candidate cache is off. depthOf may be
+// nil; it is derived from the plan only if a constraint or pin needs it. It
+// reports false when a pin's label cannot match, which makes the whole
+// search empty.
+func (e *engine) applyOptions(store *ccsr.Store, depthOf []int) bool {
+	opts := e.opts
+	if opts.DisableSCECache {
+		// Sharing rides on the candidate cache: with the cache disabled a
+		// deeper alias lookup would rebuild into the buffer the aliased
+		// level is iterating.
+		for d := range e.levels {
+			e.levels[d].necAlias = -1
+		}
+	}
+	if depthOf == nil && len(opts.SymmetryConstraints)+len(opts.Pinned) > 0 {
+		depthOf = make([]int, e.pl.Pattern.NumVertices())
+		for d, u := range e.pl.Order {
+			depthOf[u] = d
+		}
+	}
 	// Symmetry constraints attach to the later-ordered endpoint.
 	for _, c := range opts.SymmetryConstraints {
 		a, b := c[0], c[1] // f(a) < f(b)
@@ -209,8 +259,8 @@ func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
 	for _, pin := range opts.Pinned {
 		u, v := pin[0], pin[1]
 		d := depthOf[u]
-		if int(v) >= view.NumVertices() || view.VertexLabel(v) != p.Label(u) {
-			return nil, nil
+		if int(v) >= store.NumVertices() || store.VertexLabel(v) != e.pl.Pattern.Label(u) {
+			return false
 		}
 		lv := &e.levels[d]
 		lv.pinned = true
@@ -223,7 +273,7 @@ func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
 			e.levels[d].factorizable = false
 		}
 	}
-	return e, nil
+	return true
 }
 
 // appendPositive resolves the pattern edges between order[d] and earlier
@@ -416,10 +466,7 @@ func (e *engine) bindNECAliases(depthOf []int) {
 	for d := range e.levels {
 		e.levels[d].necAlias = -1
 	}
-	if e.pl.Variant == graph.VertexInduced || e.pl.NECClasses == nil || e.opts.DisableSCECache {
-		// Sharing rides on the candidate cache: with the cache disabled a
-		// deeper alias lookup would rebuild into the buffer the aliased
-		// level is iterating.
+	if e.pl.Variant == graph.VertexInduced || e.pl.NECClasses == nil {
 		return
 	}
 	for _, class := range e.pl.NECClasses {

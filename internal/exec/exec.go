@@ -123,17 +123,23 @@ func Run(view *ccsr.View, pl *plan.Plan, opts Options) (Stats, error) {
 	if e == nil {
 		return Stats{}, nil // a pattern edge has no matching cluster: empty result
 	}
-	if opts.Profile {
+	return e.execute(), nil
+}
+
+// execute runs the search of a constructed engine and returns its Stats.
+func (e *engine) execute() Stats {
+	if e.opts.Profile {
 		e.prof = newProfiler(e)
 	}
 	// A traced context (obs.WithTrace) gets an "exec.search" span covering
 	// the backtracking loop — the deepest hop of the trace's propagation
 	// chain (server → core → exec). Untraced callers build no attributes.
-	_, endSpan := obs.StartSpanCtx(opts.Ctx, "exec.search")
+	ctx := e.opts.Ctx
+	_, endSpan := obs.StartSpanCtx(ctx, "exec.search")
 	start := time.Now()
 	e.run()
 	e.stats.Elapsed = time.Since(start)
-	if obs.Traced(opts.Ctx) {
+	if obs.Traced(ctx) {
 		endSpan(obs.Int("embeddings", int64(e.stats.Embeddings)),
 			obs.Int("steps", int64(e.stats.Steps)),
 			obs.Int("candidate_builds", int64(e.stats.CandidateBuilds)),
@@ -142,7 +148,7 @@ func Run(view *ccsr.View, pl *plan.Plan, opts Options) (Stats, error) {
 	if e.prof != nil {
 		e.stats.Profile = &Profile{Levels: e.prof.levels, Elapsed: e.stats.Elapsed}
 	}
-	return e.stats, nil
+	return e.stats
 }
 
 // RunWithProfile is Run plus a per-level execution profile (the PROFILE

@@ -83,6 +83,31 @@ func (c *Cache[V]) Put(key string, val V) {
 	}
 }
 
+// Delete removes key, if held.
+func (c *Cache[V]) Delete(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	}
+}
+
+// DeleteFunc removes every entry whose key drop reports true for, calling
+// drop under the cache's lock.
+func (c *Cache[V]) DeleteFunc(drop func(key string) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if key := el.Value.(*entry[V]).key; drop(key) {
+			c.ll.Remove(el)
+			delete(c.items, key)
+		}
+		el = next
+	}
+}
+
 // Len returns the number of entries held.
 func (c *Cache[V]) Len() int {
 	c.mu.Lock()

@@ -132,3 +132,32 @@ func TestContainsCountsNothing(t *testing.T) {
 		t.Fatal("a disabled cache must contain nothing and count nothing")
 	}
 }
+
+// TestDelete: Delete and DeleteFunc remove exactly the entries named,
+// count no hit or miss, and leave the rest in their recency order, so
+// eviction afterwards still strikes the least recently used survivor.
+func TestDelete(t *testing.T) {
+	c := New[int](4)
+	for i, k := range []string{"g|1|a", "g|2|a", "h|1|a", "g|2|b"} {
+		c.Put(k, i)
+	}
+	c.Delete("absent")
+	c.Delete("g|2|b")
+	c.DeleteFunc(func(key string) bool { return key == "g|1|a" })
+	if c.Len() != 2 || !c.Contains("g|2|a") || !c.Contains("h|1|a") {
+		t.Fatalf("after deletes: len %d, g|2|a %v, h|1|a %v", c.Len(), c.Contains("g|2|a"), c.Contains("h|1|a"))
+	}
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("deletes counted hits=%d misses=%d", c.Hits(), c.Misses())
+	}
+	for _, k := range []string{"n0", "n1", "n2"} {
+		c.Put(k, 0)
+	}
+	if c.Contains("g|2|a") || !c.Contains("h|1|a") {
+		t.Fatalf("eviction after deletes struck the wrong entry: g|2|a %v, h|1|a %v", c.Contains("g|2|a"), c.Contains("h|1|a"))
+	}
+	// A disabled cache holds nothing to delete.
+	c = New[int](0)
+	c.Delete("x")
+	c.DeleteFunc(func(string) bool { return true })
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"csce/internal/core"
+	"csce/internal/exec"
 	"csce/internal/graph"
 	"csce/internal/live"
 	"csce/internal/lru"
@@ -28,6 +29,11 @@ type matchQuery struct {
 	params    matchParams
 	pattern   *graph.Graph
 	admission time.Duration // the wait for a match slot
+
+	// planKey is the plan-cache key planned looked up, at epoch planEpoch;
+	// run reuses it when it pins a snapshot at that epoch.
+	planKey   string
+	planEpoch uint64
 }
 
 // backend is the one per-graph choice in the request path: how a graph
@@ -37,7 +43,8 @@ type backend interface {
 	// planned reports, counting no cache hit or miss, whether the query's
 	// plan is cached at the graph's current epoch. A plan is cached only
 	// after the pre-filter admitted its pattern, so a planned query is
-	// admitted without checking it again.
+	// admitted without checking it again. The single-store backend keeps
+	// the key it looked up in q for run.
 	planned(q *matchQuery) bool
 	// check runs the admission pre-filter for the pattern.
 	check(p *graph.Graph, v graph.Variant) prefilter.Decision
@@ -358,15 +365,18 @@ func (s *Server) finish(w http.ResponseWriter, stream *matchStream, q *matchQuer
 }
 
 // storeBackend serves a single-store graph: it pins the current snapshot,
-// plans through the server plan cache, and runs the CSCE engine on it.
+// looks the query up in the server plan cache, and runs the CSCE engine on
+// the snapshot, from the cached program on a hit.
 type storeBackend struct {
 	ent   *Entry
-	plans *lru.Cache[*plan.Plan]
+	plans *lru.Cache[*exec.Program]
 	m     *metrics
 }
 
 func (b storeBackend) planned(q *matchQuery) bool {
-	return b.plans.Contains(planKey(b.ent.Name, b.ent.Live.Epoch(), q.params.variant, q.params.mode, q.pattern))
+	q.planEpoch = b.ent.Live.Epoch()
+	q.planKey = planKey(b.ent.Name, q.planEpoch, q.params.variant, q.params.mode, q.pattern)
+	return b.plans.Contains(q.planKey)
 }
 
 func (b storeBackend) check(p *graph.Graph, v graph.Variant) prefilter.Decision {
@@ -380,24 +390,35 @@ func (b storeBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 	// batches publish new epochs without touching it.
 	snap := b.ent.Live.Acquire()
 	defer snap.Release()
+	return b.runOn(ctx, q, snap, emit)
+}
+
+// runOn plans and executes q on the pinned snapshot snap.
+func (b storeBackend) runOn(ctx context.Context, q *matchQuery, snap *live.Snapshot, emit func([]graph.VertexID) bool) (runResult, error) {
 	eng, epoch := snap.Engine(), snap.Epoch()
 
-	// Plan. A cache hit costs a lookup; a miss pays GCF/DAG/LDSF. The key
-	// carries the pinned snapshot's epoch, so plans optimized against
-	// superseded statistics age out of the LRU instead of serving forever,
-	// and the plan a query runs is always its own snapshot's — also when a
-	// commit landed after planned looked the key up.
+	// Plan. A cache hit costs a lookup and hands over a program compiled
+	// against this very snapshot; a miss pays GCF/DAG/LDSF here and the
+	// CCSR read and compilation in Match. The key carries the pinned
+	// snapshot's epoch, so a program never runs on another snapshot — also
+	// when a commit landed after planned looked the key up, which is why
+	// planned's key serves only at its own epoch.
 	_, endPlan := obs.StartSpanCtx(ctx, phasePlan)
 	planStart := time.Now()
-	key := planKey(b.ent.Name, epoch, q.params.variant, q.params.mode, q.pattern)
-	pl, hit := b.plans.Get(key)
-	if !hit {
+	key := q.planKey
+	if key == "" || q.planEpoch != epoch {
+		key = planKey(b.ent.Name, epoch, q.params.variant, q.params.mode, q.pattern)
+	}
+	prog, hit := b.plans.Get(key)
+	var pl *plan.Plan
+	if hit {
+		pl = prog.Plan()
+	} else {
 		var err error
 		if pl, err = plan.Optimize(q.pattern, eng.Store(), q.params.variant, q.params.mode); err != nil {
 			endPlan()
 			return runResult{}, badPattern{fmt.Errorf("optimize: %w", err)}
 		}
-		b.plans.Put(key, pl)
 	}
 	planDur := time.Since(planStart)
 	cache := lru.Outcome(hit)
@@ -411,12 +432,17 @@ func (b storeBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 		Limit:        q.params.limit,
 		Context:      ctx,
 		PreparedPlan: pl,
+		Program:      prog,
+		Compile:      !hit,
 		OnEmbedding:  emit,
 		// Always profile: the slow-query log must have the per-level
 		// breakdown for queries that only reveal themselves as pathological
 		// after the fact. Costs a few counter increments per step.
 		Profile: true,
 	})
+	if res.Program != nil {
+		b.keep(key, epoch, res.Program)
+	}
 	b.m.candidateReuses.Add(res.Exec.CandidateReuses)
 	return runResult{
 		embeddings: res.Embeddings,
@@ -470,8 +496,45 @@ func (b storeBackend) run(ctx context.Context, q *matchQuery, emit func([]graph.
 	}, err
 }
 
+// keep caches prog, compiled on the snapshot at epoch, while that snapshot
+// is still the graph's current one. A program holds its snapshot's rows,
+// and once a commit has moved the epoch on, its key can never be looked
+// up again.
+func (b storeBackend) keep(key string, epoch uint64, prog *exec.Program) {
+	if epoch != b.ent.Live.Epoch() {
+		return
+	}
+	b.plans.Put(key, prog)
+	// A commit publishes its epoch before it drops the older entries, so if
+	// one published after the check above, either its drop removes this
+	// entry or this look sees its epoch.
+	if epoch != b.ent.Live.Epoch() {
+		b.plans.Delete(key)
+	}
+}
+
+// dropStale removes the graph's cached programs at epochs before epoch.
+// It parses the epoch out of the key: an entry of another graph whose name
+// starts with this one's and a '|' may be dropped too, which costs that
+// graph a cache miss, never a wrong count.
+func (b storeBackend) dropStale(epoch uint64) {
+	prefix := b.ent.Name + "|"
+	b.plans.DeleteFunc(func(key string) bool {
+		rest, ok := strings.CutPrefix(key, prefix)
+		if !ok {
+			return false
+		}
+		at, _, _ := strings.Cut(rest, "|")
+		n, err := strconv.ParseUint(at, 10, 64)
+		return err == nil && n < epoch
+	})
+}
+
 func (b storeBackend) mutate(ctx context.Context, muts []live.Mutation) (records, error) {
 	com, err := b.ent.Live.Mutate(ctx, muts)
+	// Whatever the outcome, programs of superseded snapshots go: each pins
+	// its snapshot's rows in memory.
+	b.dropStale(b.ent.Live.Epoch())
 	if err != nil {
 		return records{}, err
 	}

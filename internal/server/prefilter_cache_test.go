@@ -188,6 +188,72 @@ func TestPlannedThenCommitRunsPinnedSnapshot(t *testing.T) {
 	}
 }
 
+// TestCommitDropsStalePrograms: a /mutate drops every cached program of
+// its graph at an older epoch — each holds its snapshot's rows — and leaves
+// other graphs' entries alone. A query still pinned at the pre-commit
+// snapshot counts that snapshot's embeddings and does not put its program
+// back, since its key can never be looked up again. The prefilter is off,
+// so the triangle, provably absent before the commit, is planned too.
+func TestCommitDropsStalePrograms(t *testing.T) {
+	base, s := startServer(t, Config{DisablePrefilter: true}, map[string]*graph.Graph{"p4": pathOf(4), "other": pathOf(4)})
+	ent, _ := s.Registry().Get("p4")
+	be := s.backend(ent).(storeBackend)
+	key := func(graphName string, epoch uint64, pattern string) string {
+		return planKey(graphName, epoch, graph.EdgeInduced, plan.ModeCSCE, graph.MustParse(pattern))
+	}
+	for _, g := range []string{"p4", "other"} {
+		for _, p := range []string{pathPattern3, triPattern} {
+			readStream(t, postMatch(t, base, g, p, nil))
+		}
+	}
+	old := ent.Live.Acquire()
+	defer old.Release()
+	before := old.Epoch()
+	for _, p := range []string{pathPattern3, triPattern} {
+		if !s.plans.Contains(key("p4", before, p)) || !s.plans.Contains(key("other", 0, p)) {
+			t.Fatalf("a query's program was not cached: %q", p)
+		}
+	}
+
+	if resp, doc := postMutate(t, base, "p4",
+		`{"mutations":[{"op":"insert_edge","src":0,"dst":2}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: %d %v", resp.StatusCode, doc)
+	}
+	for _, p := range []string{pathPattern3, triPattern} {
+		if s.plans.Contains(key("p4", before, p)) {
+			t.Errorf("the commit left a program of p4 at epoch %d cached: %q", before, p)
+		}
+		if !s.plans.Contains(key("other", 0, p)) {
+			t.Errorf("a commit on p4 dropped another graph's program: %q", p)
+		}
+	}
+
+	// The pinned query misses, compiles against its own snapshot, and
+	// finds no triangle on the path; its program is not cached.
+	q := &matchQuery{ent: ent, pattern: graph.MustParse(triPattern),
+		params: matchParams{variant: graph.EdgeInduced, mode: plan.ModeCSCE}}
+	if be.planned(q) {
+		t.Fatal("a query was planned at the new epoch before any ran there")
+	}
+	res, err := be.runOn(context.Background(), q, old, func([]graph.VertexID) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache := res.report(0, 0).summary["plan_cache"]; res.embeddings != 0 || cache != "miss" {
+		t.Fatalf("triangle at the pinned pre-commit snapshot: %d embeddings, plan_cache %v; want 0, miss", res.embeddings, cache)
+	}
+	if s.plans.Contains(key("p4", before, triPattern)) {
+		t.Error("a query pinned at a superseded snapshot cached its program")
+	}
+	// The current snapshot has the triangle, and caches its program.
+	if n := matchCount(t, base, "p4", triPattern); n == 0 {
+		t.Error("the committed chord made no triangle")
+	}
+	if !s.plans.Contains(key("p4", ent.Live.Epoch(), triPattern)) {
+		t.Error("the program at the current epoch was not cached")
+	}
+}
+
 // coordDoc returns the "sharded" graph's coordinator document from /metrics.
 func coordDoc(t *testing.T, doc map[string]any) map[string]any {
 	t.Helper()

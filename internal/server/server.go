@@ -88,8 +88,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps timeout_ms (default 60s).
 	MaxTimeout time.Duration
-	// PlanCacheSize bounds the LRU of optimized plans (default 256;
-	// negative disables caching).
+	// PlanCacheSize bounds the LRU of compiled plans (default 256;
+	// negative disables caching). Each entry is an exec.Program bound to
+	// one snapshot of its graph.
 	PlanCacheSize int
 	// MaxMutationsPerBatch caps the mutations accepted in one request
 	// (default 4096).
@@ -181,7 +182,7 @@ type Server struct {
 	reg      *Registry
 	adm      *admission
 	mutAdm   *admission // separate valve: mutation storms must not starve reads
-	plans    *lru.Cache[*plan.Plan]
+	plans    *lru.Cache[*exec.Program]
 	metrics  *metrics
 	series   []series // every /metrics scalar, for both renderings
 	slowlog  *obs.SlowLog
@@ -211,7 +212,7 @@ func New(cfg Config) *Server {
 		reg:       NewRegistry(),
 		adm:       newAdmission(cfg.MatchSlots, cfg.QueueDepth),
 		mutAdm:    newAdmission(mutateSlots, mutateQueueDepth),
-		plans:     lru.New[*plan.Plan](cfg.PlanCacheSize),
+		plans:     lru.New[*exec.Program](cfg.PlanCacheSize),
 		metrics:   newMetrics(),
 		slowlog:   obs.NewSlowLog(slowLogSize, cfg.SlowQueryThreshold),
 		log:       cfg.Logger,
