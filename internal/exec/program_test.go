@@ -285,3 +285,63 @@ func reaches(v reflect.Value, forbidden []reflect.Type, seen map[uintptr]bool, p
 	}
 	return ""
 }
+
+// TestProgramRestrict: a restricted program finds exactly the embeddings of
+// its source program whose first order vertex maps to an accepted vertex,
+// and the pools of both are exactly sized, so a cached program retains no
+// slot it never reads.
+func TestProgramRestrict(t *testing.T) {
+	spec, _ := dataset.ByName("Yeast")
+	g := spec.Generate()
+	store := ccsr.Build(g)
+	even := func(v graph.VertexID) bool { return v%2 == 0 }
+	for _, c := range goldenClasses {
+		cfg := dataset.PatternConfig{Size: c.size, Dense: c.dense, Count: 3, Seed: 2028}
+		patterns, err := dataset.SamplePatterns(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range patterns {
+			for _, variant := range graph.Variants() {
+				where := fmt.Sprintf("%s#%d %s", cfg.Name(), i, variant)
+				view, err := store.ReadCSR(p, variant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl, err := plan.Optimize(p, store, variant, plan.ModeCSCE)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := Compile(view, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				restricted := prog.Restrict(even)
+				for _, q := range []*Program{prog, restricted} {
+					if len(q.pool) != cap(q.pool) {
+						t.Fatalf("%s: pool of %d ids in %d slots", where, len(q.pool), cap(q.pool))
+					}
+				}
+				var want uint64
+				first := pl.Order[0]
+				all, err := prog.Run(store, Options{OnEmbedding: func(m []graph.VertexID) bool {
+					if even(m[first]) {
+						want++
+					}
+					return true
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := restricted.Run(store, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Embeddings != want {
+					t.Fatalf("%s: restricted program found %d embeddings, %d of the source's %d start at an even vertex",
+						where, got.Embeddings, want, all.Embeddings)
+				}
+			}
+		}
+	}
+}

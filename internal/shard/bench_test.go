@@ -4,27 +4,37 @@ import (
 	"context"
 	"testing"
 
+	"csce/internal/ccsr"
+	"csce/internal/dataset"
 	"csce/internal/obs"
 )
 
 // BenchmarkShardMatch runs Coordinator.Match on Yeast at K=4 over the pool
 // of yeastPool (shaped like the sharded-read workload's), 8 patterns per
-// class and variant. One op is one match, cycling through the pool with
-// the decomposition cache warm, so it measures scatter, local twig search
-// and join — not planning. The traced sub-benchmark runs each match under a
-// fresh obs.Trace and finishes it, as csced does for every request; the
-// untraced one runs it on a bare context, so the pair is the cost of
-// tracing.
+// class and variant. One op is one match, cycling through the pool. In the
+// untraced and traced sub-benchmarks the decomposition cache is warm, so
+// they measure scatter, the shards' compiled twig programs and the join,
+// not planning or compiling; the traced one runs each match under a fresh
+// obs.Trace and finishes it, as csced does for every request, so the pair
+// is the cost of tracing. The uncached one runs on a coordinator opened
+// with PlanCacheSize -1, which decomposes, plans and compiles every twig
+// on every shard for every match: the cache-miss path.
 //
 //	go test -run '^$' -bench BenchmarkShardMatch -benchmem ./internal/shard
 func BenchmarkShardMatch(b *testing.B) {
 	c, pool := yeastPool(b, 8)
-	for _, traced := range []bool{false, true} {
-		name := "untraced"
-		if traced {
-			name = "traced"
-		}
-		b.Run(name, func(b *testing.B) {
+	spec, _ := dataset.ByName("Yeast")
+	uncached, err := Open("yeast", ccsr.Build(spec.Generate()), Options{K: 4, PlanCacheSize: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(uncached.Close)
+	for _, run := range []struct {
+		name   string
+		c      *Coordinator
+		traced bool
+	}{{"untraced", c, false}, {"traced", c, true}, {"uncached", uncached, false}} {
+		b.Run(run.name, func(b *testing.B) {
 			spans := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -32,11 +42,11 @@ func BenchmarkShardMatch(b *testing.B) {
 				q := pool[i%len(pool)]
 				ctx := context.Background()
 				var tr *obs.Trace
-				if traced {
+				if run.traced {
 					tr = obs.NewTrace()
 					ctx = obs.WithTrace(ctx, tr)
 				}
-				if _, err := c.Match(ctx, q.p, MatchOptions{Variant: q.v}); err != nil {
+				if _, err := run.c.Match(ctx, q.p, MatchOptions{Variant: q.v}); err != nil {
 					b.Fatal(err)
 				}
 				ft, _ := tr.Finish("bench")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,13 +427,15 @@ type MatchResult struct {
 
 // decompose covers p with twigs and plans each once, homomorphically, on
 // shard 0's store; DESIGN.md ("Epoch-vector decomposition cache") says why
-// one plan is exact on every shard.
+// one plan is exact on every shard. Each shard compiles the plans into its
+// own slot on its first request.
 func (c *Coordinator) decompose(p *graph.Graph, mode plan.Mode) (*Decomposition, error) {
 	freq := c.aggregateLabelFreq()
 	dec, err := Decompose(p, func(l graph.Label) int { return freq[l] })
 	if err != nil {
 		return nil, err
 	}
+	dec.programs = make([]atomic.Pointer[twigPrograms], c.k)
 	store, release := c.locals[0].engineSnapshot()
 	defer release()
 	for i := range dec.Twigs {
@@ -441,6 +445,32 @@ func (c *Coordinator) decompose(p *graph.Graph, mode plan.Mode) (*Decomposition,
 		}
 	}
 	return dec, nil
+}
+
+// keep caches dec under key while epochs is still the current epoch
+// vector. Its shards' programs will hold rows of their stores, and once a
+// commit has moved the vector on, the key can never be looked up again.
+func (c *Coordinator) keep(key string, epochs []uint64, dec *Decomposition) {
+	if !slices.Equal(epochs, c.EpochVector()) {
+		return
+	}
+	c.decomp.Put(key, dec)
+	// A commit publishes its epoch before it drops the stale entries, so if
+	// one published after the check above, either its drop removes this
+	// entry or this look sees the vector move.
+	if !slices.Equal(epochs, c.EpochVector()) {
+		c.decomp.Delete(key)
+	}
+}
+
+// dropStale removes every cached decomposition whose epoch vector is not
+// the current one, with the programs its shards compiled: each holds rows
+// of a store that a commit has since replaced.
+func (c *Coordinator) dropStale() {
+	var b strings.Builder
+	writeEpochs(&b, c.EpochVector())
+	current := b.String()
+	c.decomp.DeleteFunc(func(key string) bool { return keyEpochs(key) != current })
 }
 
 // Match runs one pattern over all shards: decompose and plan the twigs
@@ -485,7 +515,8 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 
 	_, endDecomp := obs.StartSpanCtx(ctx, "shard.plan")
 	planStart := time.Now()
-	key := decompKey(opts.Variant, opts.Mode, c.EpochVector(), p)
+	epochs := c.EpochVector()
+	key := decompKey(opts.Variant, opts.Mode, epochs, p)
 	dec, hit := c.decomp.Get(key)
 	if !hit {
 		var err error
@@ -493,7 +524,7 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 			endDecomp()
 			return res, err
 		}
-		c.decomp.Put(key, dec)
+		c.keep(key, epochs, dec)
 	}
 	res.PlanTime = time.Since(planStart)
 	res.DecompCacheHit = hit
@@ -505,7 +536,6 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 	// "shard.scatter" and is that shard's only span.
 	scatterCtx, endScatter := obs.StartSpanCtx(ctx, "shard.scatter")
 	scatterStart := time.Now()
-	req := PartialRequest{Twigs: dec.Twigs}
 	results := make([]PartialResult, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -515,7 +545,7 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 			defer wg.Done()
 			localCtx, endLocal := obs.StartSpanCtx(scatterCtx, "shard.local")
 			localStart := time.Now()
-			results[i], errs[i] = sh.MatchPartial(localCtx, req)
+			results[i], errs[i] = sh.MatchPartial(localCtx, PartialRequest{Twigs: dec.Twigs, programs: &dec.programs[i]})
 			if obs.Traced(localCtx) {
 				r := &results[i]
 				var rows uint64
@@ -527,6 +557,7 @@ func (c *Coordinator) Match(ctx context.Context, p *graph.Graph, opts MatchOptio
 					obs.Int("twigs", int64(len(dec.Twigs))),
 					obs.Int("rows", int64(rows)),
 					obs.Int("steps", int64(r.Steps)),
+					obs.Int("compiled", int64(r.Compiled)),
 					obs.Int("read_us", r.ReadTime.Microseconds()),
 					obs.Int("plan_us", r.PlanTime.Microseconds()),
 					obs.Int("search_us", r.ExecTime.Microseconds()))

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"csce/internal/graph"
 )
@@ -18,6 +19,12 @@ import (
 // Decomposition is the sharded-path "plan": the twig cover of one pattern.
 type Decomposition struct {
 	Twigs []Twig
+
+	// programs holds, by shard index, each local shard's twigs compiled
+	// against its store; a shard fills its slot on its first request for
+	// this decomposition and again whenever it answers at another store
+	// version. Set by the coordinator, which caches the two together.
+	programs []atomic.Pointer[twigPrograms]
 }
 
 // patternEdge is one pattern edge in its original orientation.

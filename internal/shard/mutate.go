@@ -135,6 +135,9 @@ func (c *Coordinator) Mutate(ctx context.Context, muts []live.Mutation) (BatchRe
 	res.Mutations = len(muts)
 	res.ShardsTouched = len(touched)
 
+	// Whatever the outcome, once a shard may have committed, the cached
+	// decompositions of the superseded epoch vector go with their programs.
+	defer c.dropStale()
 	errs := applyParallel(ctx, c.shards, batches, touched)
 
 	firstErr := error(nil)
