@@ -106,8 +106,9 @@ type MatchOptions struct {
 	// its DAG holds that store's negation clusters. Any other plan may come
 	// from any store over the same labels, since the executor reads only
 	// its order, DAG and NEC classes, and the store only steers which
-	// connected order is chosen; the sharded coordinator runs one
-	// homomorphic twig plan on every shard this way.
+	// connected order is chosen; on the same grounds the sharded
+	// coordinator compiles one homomorphic twig plan, optimized on one
+	// shard, into a program on every shard.
 	PreparedPlan *plan.Plan
 	// Program, when non-nil, is run in place of the read and plan stages:
 	// a plan already compiled against this engine's store (exec.Compile,
@@ -115,8 +116,9 @@ type MatchOptions struct {
 	// neither reads clusters nor builds the executor from the plan; the
 	// "core.read" span reports the program's cluster count. PreparedPlan
 	// and Mode are ignored. A program compiled against any other store
-	// fails with exec.ErrForeignStore. The serving layer's plan cache holds
-	// programs, so a cache hit costs one per-run instantiation.
+	// fails with exec.ErrForeignStore. The serving layer's plan cache and
+	// the shards of a sharded graph hold programs, so a cache hit costs one
+	// per-run instantiation.
 	Program *exec.Program
 	// Compile, when Program is nil, compiles the plan into a program, runs
 	// that, and returns it in MatchResult.Program for later tasks on the
