@@ -11,6 +11,7 @@ import (
 // store's own immutable clusters; building one copies and expands nothing.
 type View struct {
 	store    *Store
+	version  uint64 // the store's Version when the view was read
 	clusters map[Key]*Cluster
 }
 
@@ -23,7 +24,7 @@ func (s *Store) ReadCSR(p *graph.Graph, variant graph.Variant) (*View, error) {
 		return nil, fmt.Errorf("ccsr: pattern directedness (%v) does not match data graph (%v)",
 			p.Directed(), s.directed)
 	}
-	v := &View{store: s, clusters: make(map[Key]*Cluster)}
+	v := &View{store: s, version: s.version, clusters: make(map[Key]*Cluster)}
 
 	p.Edges(func(ux, uy graph.VertexID, el graph.EdgeLabel) {
 		v.load(NewKey(p.Label(ux), p.Label(uy), el, s.directed))
@@ -65,6 +66,10 @@ func (v *View) NumVertices() int { return v.store.numVertices }
 
 // Store returns the backing store.
 func (v *View) Store() *Store { return v.store }
+
+// Version returns the store's Version when the view was read. A view does
+// not see a write made to its store after it was read.
+func (v *View) Version() uint64 { return v.version }
 
 // Cluster returns the cluster for key k, or nil when no data
 // edge belongs to that isomorphism class (or the cluster was not selected

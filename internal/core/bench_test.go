@@ -53,7 +53,7 @@ func BenchmarkEngineMatch(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		progs := make([]MatchOptions, len(patterns))
 		for i, p := range patterns {
-			res, err := e.Match(p, MatchOptions{Variant: graph.EdgeInduced, Compile: true})
+			res, err := e.Match(p, MatchOptions{Variant: graph.EdgeInduced})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -98,32 +98,27 @@ type MatchOptions struct {
 	// error; a context that is already dead before execution starts returns
 	// the context's error.
 	Context context.Context
-	// PreparedPlan, when non-nil, skips the optimization stage and executes
-	// this plan directly. It must have been produced by plan.Optimize (or
-	// plan.FromOrder) for the same pattern and variant — the serving layer's
-	// plan cache uses this to amortize GCF/DAG/LDSF across repeated
-	// patterns. A vertex-induced plan must also come from the same store:
-	// its DAG holds that store's negation clusters. Any other plan may come
-	// from any store over the same labels, since the executor reads only
-	// its order, DAG and NEC classes, and the store only steers which
-	// connected order is chosen; on the same grounds the sharded
-	// coordinator compiles one homomorphic twig plan, optimized on one
-	// shard, into a program on every shard.
+	// PreparedPlan, when non-nil, skips the optimization stage: Match
+	// compiles and runs this plan. It must have been produced by
+	// plan.Optimize (or plan.FromOrder) for the same pattern and variant. A
+	// vertex-induced plan must also come from the same store: its DAG holds
+	// that store's negation clusters. Any other plan may come from any store
+	// over the same labels, since the executor reads only its order, DAG and
+	// NEC classes, and the store only steers which connected order is
+	// chosen; on the same grounds the sharded coordinator compiles one
+	// homomorphic twig plan, optimized on one shard, into a program on every
+	// shard.
 	PreparedPlan *plan.Plan
-	// Program, when non-nil, is run in place of the read and plan stages:
-	// a plan already compiled against this engine's store (exec.Compile,
-	// or a MatchResult.Program) for the same pattern and variant. Match
-	// neither reads clusters nor builds the executor from the plan; the
-	// "core.read" span reports the program's cluster count. PreparedPlan
-	// and Mode are ignored. A program compiled against any other store
-	// fails with exec.ErrForeignStore. The serving layer's plan cache and
-	// the shards of a sharded graph hold programs, so a cache hit costs one
-	// per-run instantiation.
+	// Program, when non-nil, is run in place of the read, plan and compile
+	// stages: a plan already compiled against this engine's store
+	// (exec.Compile, or the MatchResult.Program of an earlier task) for the
+	// same pattern and variant. Match reads no clusters; the "core.read"
+	// span reports the program's cluster count. PreparedPlan and Mode are
+	// ignored. A program compiled against any other store, or against this
+	// one before a write, fails with exec.ErrForeignStore. The serving
+	// layer's plan cache and the shards of a sharded graph hold programs, so
+	// a cache hit costs one per-run instantiation.
 	Program *exec.Program
-	// Compile, when Program is nil, compiles the plan into a program, runs
-	// that, and returns it in MatchResult.Program for later tasks on the
-	// same store. Without it the executor is built for this task alone.
-	Compile bool
 	// OnEmbedding receives each embedding, indexed by pattern vertex ID.
 	// Return false to stop. Disables factorized counting.
 	OnEmbedding func(mapping []graph.VertexID) bool
@@ -170,8 +165,8 @@ type MatchResult struct {
 	Exec exec.Stats
 	// Profile is the per-level execution profile when requested.
 	Profile *exec.Profile
-	// Program is the compiled program the task ran when MatchOptions.Compile
-	// was set, else nil.
+	// Program is the compiled program the task ran: MatchOptions.Program,
+	// or the one Match compiled. Later tasks on the same store may run it.
 	Program *exec.Program
 }
 
@@ -254,20 +249,14 @@ func (e *Engine) Match(p *graph.Graph, opts MatchOptions) (MatchResult, error) {
 	res.PlanTime = time.Since(planStart)
 	res.Plan = pl
 
-	var st exec.Stats
-	var err error
-	switch {
-	case prog != nil:
-		st, err = prog.Run(e.store, execOpts)
-	case opts.Compile:
-		var compiled *exec.Program
-		if compiled, err = exec.Compile(view, pl); err == nil {
-			res.Program = compiled
-			st, err = compiled.Run(e.store, execOpts)
+	if prog == nil {
+		var err error
+		if prog, err = exec.Compile(view, pl, nil); err != nil {
+			return res, fmt.Errorf("core: execute: %w", err)
 		}
-	default:
-		st, err = exec.Run(view, pl, execOpts)
 	}
+	res.Program = prog
+	st, err := prog.Run(e.store, execOpts)
 	if err != nil {
 		return res, fmt.Errorf("core: execute: %w", err)
 	}

@@ -114,6 +114,11 @@ func embeddingsUsing(store *ccsr.Store, p *graph.Graph, inserted Edge, opts Opti
 	if err != nil {
 		return 0, fmt.Errorf("delta: %w", err)
 	}
+	// One program serves every pin: a pin is a run option.
+	prog, err := exec.Compile(view, pl, nil)
+	if err != nil {
+		return 0, fmt.Errorf("delta: %w", err)
+	}
 
 	// mapsOnInsertion reports whether embedding m maps pattern pair
 	// (a, b) onto the inserted edge (in the pin's orientation).
@@ -151,7 +156,7 @@ func embeddingsUsing(store *ccsr.Store, p *graph.Graph, inserted Edge, opts Opti
 				return true
 			},
 		}
-		if _, err := exec.Run(view, pl, execOpts); err != nil {
+		if _, err := prog.Run(store, execOpts); err != nil {
 			return total, fmt.Errorf("delta: pin %d: %w", i, err)
 		}
 	}

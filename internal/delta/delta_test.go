@@ -21,11 +21,11 @@ func countAll(t testing.TB, store *ccsr.Store, p *graph.Graph, variant graph.Var
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := exec.Count(view, pl)
+	st, err := exec.Run(view, pl, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return st.Embeddings
 }
 
 // TestPropertyDeltaEqualsRecount is the defining property of continuous

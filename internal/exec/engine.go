@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"csce/internal/ccsr"
@@ -81,9 +79,6 @@ type level struct {
 }
 
 type engine struct {
-	// view is the cluster selection the chains are resolved from; nil on a
-	// run of a compiled Program, which resolved them once at Compile.
-	view *ccsr.View
 	pl   *plan.Plan
 	opts Options
 
@@ -101,22 +96,6 @@ type engine struct {
 
 	// prof, when non-nil, accumulates the per-level profile.
 	prof *profiler
-}
-
-// newEngine precompiles the plan into per-depth constraint lists. It
-// returns (nil, nil) when some pattern edge has no matching cluster, which
-// means the result is trivially empty.
-func newEngine(view *ccsr.View, pl *plan.Plan, opts Options) (*engine, error) {
-	e := newRunState(pl, opts, view.NumVertices())
-	e.view = view
-	depthOf, ok, err := e.resolve()
-	if !ok || err != nil {
-		return nil, err
-	}
-	if !e.applyOptions(view.Store(), depthOf) {
-		return nil, nil
-	}
-	return e, nil
 }
 
 // newRunState allocates what one run writes: the levels, the mapping, the
@@ -147,88 +126,12 @@ func newRunState(pl *plan.Plan, opts Options, numVertices int) *engine {
 	return e
 }
 
-// resolve fills in what the plan and e.view alone determine: every level's
-// vertex, label and ordered filter chain, the depth-0 pool, the NEC
-// aliases and the static factorization flags. It returns the depth of each
-// pattern vertex, and ok=false when some pattern edge has no matching
-// cluster, which means the result is trivially empty.
-func (e *engine) resolve() (depthOf []int, ok bool, err error) {
-	pl := e.pl
-	p := pl.Pattern
-	n := e.n
-	depthOf = make([]int, p.NumVertices())
-	for d, u := range pl.Order {
-		depthOf[u] = d
-	}
-	laterLabels := make(map[graph.Label]int) // label -> count among later vertices
-
-	// Every level's filter chain lives in one slab: one stage per positive
-	// row and, vertex-induced, per negation row (at most one per H-parent
-	// and cluster). spans[d] delimits level d's stages until the slab stops
-	// growing.
-	capacity := p.NumEdges()
-	if pl.Variant == graph.VertexInduced {
-		capacity += pl.DAG.NumEdges()
-	}
-	slab := make([]stage, 0, capacity)
-	spans := make([][2]int, n)
-	for d := n - 1; d >= 0; d-- {
-		u := pl.Order[d]
-		lv := &e.levels[d]
-		lv.u = u
-		lv.label = p.Label(u)
-
-		// Positive rows: one per pattern edge between u and an earlier
-		// vertex, resolved to the cluster side whose rows are indexed by the
-		// earlier vertex's mapping.
-		lo := len(slab)
-		if slab, ok = e.appendPositive(slab, lv, d, depthOf); !ok {
-			return nil, false, nil // missing cluster: no embeddings exist
-		}
-		// Negation rows come from the dependency DAG: an H-parent that is
-		// not a pattern neighbor is a vertex-induced negation dependency.
-		if pl.Variant == graph.VertexInduced {
-			slab = e.appendNegation(slab, lv, d, depthOf)
-		}
-		spans[d] = [2]int{lo, len(slab)}
-
-		// Factorization eligibility (see package comment).
-		if pl.DAG != nil {
-			lv.factorizable = len(pl.DAG.Out(int(u))) == 0
-		}
-		if pl.Variant.Injective() && laterLabels[lv.label] > 0 {
-			lv.factorizable = false
-		}
-		laterLabels[lv.label]++
-	}
-	for d := 1; d < n; d++ {
-		lv := &e.levels[d]
-		lv.stages = slab[spans[d][0]:spans[d][1]:spans[d][1]]
-		if !orderStages(lv.stages) {
-			return nil, false, errInternal("order position %d (u%d) has no earlier pattern neighbor", d, lv.u)
-		}
-	}
-
-	// Depth 0 candidate pool: the smallest incident cluster's non-empty
-	// rows, filtered to the right label.
-	if err := e.buildPool(); err != nil {
-		return nil, false, err
-	}
-	if e.levels[0].pool == nil {
-		return nil, false, nil
-	}
-
-	e.bindNECAliases(depthOf)
-	return depthOf, true, nil
-}
-
-// applyOptions adds what the run's options change to the resolved levels:
+// applyOptions adds what the run's options change to the compiled levels:
 // symmetry constraints, pinned vertices and the factorization switches, and
-// it drops the NEC aliases when the candidate cache is off. depthOf may be
-// nil; it is derived from the plan only if a constraint or pin needs it. It
-// reports false when a pin's label cannot match, which makes the whole
-// search empty.
-func (e *engine) applyOptions(store *ccsr.Store, depthOf []int) bool {
+// it drops the NEC aliases when the candidate cache is off. It reports
+// false when a pin's label cannot match, which makes the whole search
+// empty.
+func (e *engine) applyOptions(store *ccsr.Store) bool {
 	opts := e.opts
 	if opts.DisableSCECache {
 		// Sharing rides on the candidate cache: with the cache disabled a
@@ -238,16 +141,10 @@ func (e *engine) applyOptions(store *ccsr.Store, depthOf []int) bool {
 			e.levels[d].necAlias = -1
 		}
 	}
-	if depthOf == nil && len(opts.SymmetryConstraints)+len(opts.Pinned) > 0 {
-		depthOf = make([]int, e.pl.Pattern.NumVertices())
-		for d, u := range e.pl.Order {
-			depthOf[u] = d
-		}
-	}
 	// Symmetry constraints attach to the later-ordered endpoint.
 	for _, c := range opts.SymmetryConstraints {
 		a, b := c[0], c[1] // f(a) < f(b)
-		da, db := depthOf[a], depthOf[b]
+		da, db := e.pl.PositionOf(a), e.pl.PositionOf(b)
 		if da < db {
 			e.levels[db].sym = append(e.levels[db].sym, symConstraint{parentDepth: da, greater: true})
 		} else {
@@ -258,11 +155,10 @@ func (e *engine) applyOptions(store *ccsr.Store, depthOf []int) bool {
 	// match makes the whole search empty.
 	for _, pin := range opts.Pinned {
 		u, v := pin[0], pin[1]
-		d := depthOf[u]
 		if int(v) >= store.NumVertices() || store.VertexLabel(v) != e.pl.Pattern.Label(u) {
 			return false
 		}
-		lv := &e.levels[d]
+		lv := &e.levels[e.pl.PositionOf(u)]
 		lv.pinned = true
 		lv.pinnedVal = v
 		lv.pinnedSlice = []graph.VertexID{v}
@@ -271,239 +167,6 @@ func (e *engine) applyOptions(store *ccsr.Store, depthOf []int) bool {
 	if len(opts.SymmetryConstraints) > 0 || opts.OnEmbedding != nil || opts.DisableFactorization {
 		for d := range e.levels {
 			e.levels[d].factorizable = false
-		}
-	}
-	return true
-}
-
-// appendPositive resolves the pattern edges between order[d] and earlier
-// vertices into positive stages. It reports ok=false when a needed cluster
-// does not exist in the data graph.
-func (e *engine) appendPositive(slab []stage, lv *level, d int, depthOf []int) ([]stage, bool) {
-	p := e.pl.Pattern
-	u := lv.u
-	if p.Directed() {
-		// Edges w -> u: candidates are outgoing neighbors of f(w).
-		for _, nb := range p.In(u) {
-			if depthOf[nb.To] >= d {
-				continue
-			}
-			c := e.view.EdgeCluster(p.Label(nb.To), lv.label, nb.Label)
-			if c == nil {
-				return slab, false
-			}
-			slab = append(slab, stage{parentDepth: depthOf[nb.To], csr: c.FromSrc()})
-		}
-		// Edges u -> w: candidates are incoming neighbors of f(w).
-		for _, nb := range p.Out(u) {
-			if depthOf[nb.To] >= d {
-				continue
-			}
-			c := e.view.EdgeCluster(lv.label, p.Label(nb.To), nb.Label)
-			if c == nil {
-				return slab, false
-			}
-			slab = append(slab, stage{parentDepth: depthOf[nb.To], csr: c.FromDst()})
-		}
-		return slab, true
-	}
-	for _, nb := range p.Out(u) {
-		if depthOf[nb.To] >= d {
-			continue
-		}
-		c := e.view.EdgeCluster(lv.label, p.Label(nb.To), nb.Label)
-		if c == nil {
-			return slab, false
-		}
-		slab = append(slab, stage{parentDepth: depthOf[nb.To], csr: c.FromSrc()})
-	}
-	return slab, true
-}
-
-// appendNegation derives the vertex-induced negation stages for depth d
-// from the dependency DAG. For a non-neighbor H-parent, every data arc
-// between the mappings is forbidden. For a pattern-neighbor parent, only
-// the arcs the pattern actually has are allowed: a reverse arc or an arc
-// with a different edge label in the data graph would make the induced
-// subgraph non-isomorphic to P, so clusters holding such arcs become
-// negation rows too.
-func (e *engine) appendNegation(slab []stage, lv *level, d int, depthOf []int) []stage {
-	p := e.pl.Pattern
-	u := lv.u
-	for _, par := range e.pl.DAG.In(int(u)) {
-		w := graph.VertexID(par)
-		if depthOf[w] >= d {
-			continue
-		}
-		neg := func(csr *ccsr.CSR) {
-			slab = append(slab, stage{parentDepth: depthOf[w], csr: csr, negate: true})
-		}
-		for _, c := range e.view.PairClusters(p.Label(w), p.Label(u)) {
-			if !c.Key.Directed {
-				if !p.HasEdgeLabeled(w, u, c.Key.Edge) {
-					neg(c.Out)
-				}
-				continue
-			}
-			// Directed cluster (L(w) -> L(u)): rows of Out are indexed by the
-			// w-side; (L(u) -> L(w)): rows of In are indexed by the w-side.
-			// Either way the row of f(w) lists the candidates adjacent to it.
-			// Clusters whose arc the pattern requires are excluded — the
-			// positive stages already enforce their presence.
-			if c.Key.Src == p.Label(w) && !p.HasEdgeLabeled(w, u, c.Key.Edge) {
-				neg(c.Out)
-			}
-			if c.Key.Dst == p.Label(w) && !p.HasEdgeLabeled(u, w, c.Key.Edge) {
-				neg(c.In)
-			}
-		}
-	}
-	return slab
-}
-
-// orderStages arranges one level's chain: the shallowest positive stage
-// leads (its row is handed out as it is), and the rest follow by ascending
-// parent depth, so a negation shallower than the lead comes right after
-// it. The sort is stable, so at equal depth positives precede negations.
-// It reports false when the level has no positive stage.
-func orderStages(st []stage) bool {
-	lead := -1
-	for i := range st {
-		if !st[i].negate && (lead < 0 || st[i].parentDepth < st[lead].parentDepth) {
-			lead = i
-		}
-	}
-	if lead < 0 {
-		return false
-	}
-	first := st[lead]
-	copy(st[1:lead+1], st[:lead])
-	st[0] = first
-	slices.SortStableFunc(st[1:], func(a, b stage) int { return cmp.Compare(a.parentDepth, b.parentDepth) })
-	return true
-}
-
-// buildPool selects the depth-0 candidate pool from the smallest incident
-// cluster of the first pattern vertex, label-filtered.
-func (e *engine) buildPool() error {
-	p := e.pl.Pattern
-	lv := &e.levels[0]
-	u := lv.u
-
-	type side struct {
-		csr  *ccsr.CSR
-		size int
-	}
-	var best *side
-	consider := func(csr *ccsr.CSR) {
-		if csr == nil {
-			return
-		}
-		s := side{csr: csr, size: csr.Len()}
-		if best == nil || s.size < best.size {
-			best = &s
-		}
-	}
-	if p.Directed() {
-		for _, nb := range p.Out(u) {
-			if c := e.view.EdgeCluster(lv.label, p.Label(nb.To), nb.Label); c != nil {
-				consider(c.FromSrc())
-			} else {
-				return nil // missing cluster: empty result (pool stays nil)
-			}
-		}
-		for _, nb := range p.In(u) {
-			if c := e.view.EdgeCluster(p.Label(nb.To), lv.label, nb.Label); c != nil {
-				consider(c.FromDst())
-			} else {
-				return nil
-			}
-		}
-	} else {
-		for _, nb := range p.Out(u) {
-			if c := e.view.EdgeCluster(lv.label, p.Label(nb.To), nb.Label); c != nil {
-				consider(c.FromSrc())
-			} else {
-				return nil
-			}
-		}
-	}
-	if best == nil {
-		if e.n == 1 {
-			// Single-vertex pattern: every data vertex with the label.
-			var pool []graph.VertexID
-			for v := 0; v < e.view.NumVertices(); v++ {
-				if e.view.VertexLabel(graph.VertexID(v)) == lv.label {
-					pool = append(pool, graph.VertexID(v))
-				}
-			}
-			lv.pool = pool
-			if lv.pool == nil {
-				lv.pool = []graph.VertexID{}
-			}
-			return nil
-		}
-		return errInternal("first order vertex u%d has no incident pattern edge", u)
-	}
-	pool := best.csr.NonEmptyRows()
-	filtered := make([]graph.VertexID, 0, len(pool))
-	for _, v := range pool {
-		if e.view.VertexLabel(v) == lv.label {
-			filtered = append(filtered, v)
-		}
-	}
-	lv.pool = filtered
-	return nil
-}
-
-// bindNECAliases links each level to the earliest NEC-equivalent level
-// with identical dependency parents, so their candidate lists are shared.
-// Sharing is restricted to the edge-induced and homomorphic variants: in
-// the vertex-induced variant a later equivalent vertex additionally
-// filters against the earlier one's mapping (mutual non-adjacency), so the
-// lists differ.
-func (e *engine) bindNECAliases(depthOf []int) {
-	for d := range e.levels {
-		e.levels[d].necAlias = -1
-	}
-	if e.pl.Variant == graph.VertexInduced || e.pl.NECClasses == nil {
-		return
-	}
-	for _, class := range e.pl.NECClasses {
-		if len(class) < 2 {
-			continue
-		}
-		// Order class members by depth; alias each to the earliest member
-		// whose parent set matches.
-		depths := make([]int, 0, len(class))
-		for _, u := range class {
-			depths = append(depths, depthOf[u])
-		}
-		slices.Sort(depths)
-		for i := 1; i < len(depths); i++ {
-			d := depths[i]
-			for j := 0; j < i; j++ {
-				ea := depths[j]
-				if sameParents(e.levels[d].stages, e.levels[ea].stages) {
-					e.levels[d].necAlias = ea
-					break
-				}
-			}
-		}
-	}
-}
-
-// sameParents reports whether two chains depend on the same set of earlier
-// depths.
-func sameParents(a, b []stage) bool {
-	return coversParents(a, b) && coversParents(b, a)
-}
-
-// coversParents reports whether every parent depth of a is one of b's.
-func coversParents(a, b []stage) bool {
-	for _, x := range a {
-		if !slices.ContainsFunc(b, func(y stage) bool { return y.parentDepth == x.parentDepth }) {
-			return false
 		}
 	}
 	return true

@@ -112,21 +112,20 @@ func (s Stats) Throughput() float64 {
 }
 
 // Run matches the plan's pattern against the clustered data graph view and
-// returns matching statistics. The view must come from the same store the
-// plan was optimized against and must have been read with the same variant
-// (ReadCSR loads the negation clusters vertex-induced matching needs).
+// returns matching statistics: it compiles the plan and runs the program
+// once. The view must come from the same store the plan was optimized
+// against and must have been read with the same variant (ReadCSR loads the
+// negation clusters vertex-induced matching needs); a store written since
+// the view was read returns ErrForeignStore.
 func Run(view *ccsr.View, pl *plan.Plan, opts Options) (Stats, error) {
-	e, err := newEngine(view, pl, opts)
+	prog, err := Compile(view, pl, nil)
 	if err != nil {
 		return Stats{}, err
 	}
-	if e == nil {
-		return Stats{}, nil // a pattern edge has no matching cluster: empty result
-	}
-	return e.execute(), nil
+	return prog.Run(view.Store(), opts)
 }
 
-// execute runs the search of a constructed engine and returns its Stats.
+// execute runs the search of an instantiated engine and returns its Stats.
 func (e *engine) execute() Stats {
 	if e.opts.Profile {
 		e.prof = newProfiler(e)
@@ -149,24 +148,6 @@ func (e *engine) execute() Stats {
 		e.stats.Profile = &Profile{Levels: e.prof.levels, Elapsed: e.stats.Elapsed}
 	}
 	return e.stats
-}
-
-// RunWithProfile is Run plus a per-level execution profile (the PROFILE
-// counterpart to the plan's EXPLAIN view) — a convenience wrapper over
-// Options.Profile for callers that always want the breakdown.
-func RunWithProfile(view *ccsr.View, pl *plan.Plan, opts Options) (Stats, Profile, error) {
-	opts.Profile = true
-	st, err := Run(view, pl, opts)
-	if err != nil || st.Profile == nil {
-		return st, Profile{}, err
-	}
-	return st, *st.Profile, nil
-}
-
-// Count is a convenience wrapper returning only the embedding count.
-func Count(view *ccsr.View, pl *plan.Plan) (uint64, error) {
-	st, err := Run(view, pl, Options{})
-	return st.Embeddings, err
 }
 
 // errInternal marks impossible states; surfaced instead of panicking.

@@ -489,7 +489,7 @@ func TestThroughputMetric(t *testing.T) {
 	}
 }
 
-func TestCountHelper(t *testing.T) {
+func TestRunCountsTrianglesInK4(t *testing.T) {
 	g := graph.Clique(4, 0)
 	p := graph.Clique(3, 0)
 	store := ccsr.Build(g)
@@ -501,11 +501,11 @@ func TestCountHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(view, pl)
+	st, err := Run(view, pl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 24 {
-		t.Fatalf("K3 in K4 = %d, want 24", n)
+	if st.Embeddings != 24 {
+		t.Fatalf("K3 in K4 = %d, want 24", st.Embeddings)
 	}
 }

@@ -27,10 +27,14 @@ func TestRunWithProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, prof, err := RunWithProfile(view, pl, Options{})
+	st, err := Run(view, pl, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Profile == nil {
+		t.Fatal("Options.Profile set, Stats.Profile nil")
+	}
+	prof := st.Profile
 	if st.Embeddings != plain.Embeddings {
 		t.Fatalf("profiling changed the count: %d vs %d", st.Embeddings, plain.Embeddings)
 	}
@@ -77,11 +81,11 @@ func TestRunWithProfileEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, prof, err := RunWithProfile(view, pl, Options{})
+	st, err := Run(view, pl, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Embeddings != 0 || len(prof.Levels) != 0 {
-		t.Fatalf("empty result must yield an empty profile: %+v", prof)
+	if st.Embeddings != 0 || st.Profile != nil {
+		t.Fatalf("empty result must yield no profile: %+v", st.Profile)
 	}
 }

@@ -80,7 +80,7 @@ func TestProgramReuseExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					prog, err := Compile(view, pl)
+					prog, err := Compile(view, pl, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +129,8 @@ func checkProgramRuns(t *testing.T, where string, prog *Program, store *ccsr.Sto
 // compiled against, at the version it was compiled at. A clone, an
 // independently built twin, and the same store after each kind of write
 // all get ErrForeignStore, never a count — the empty program of a pattern
-// with a missing cluster included.
+// with a missing cluster included. So does Run on a view read before a
+// write to its store.
 func TestProgramRefusesOtherStores(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 200, 800, 3, 1, false)
@@ -149,7 +150,7 @@ func TestProgramRefusesOtherStores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := Compile(view, pl)
+			prog, err := Compile(view, pl, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,6 +201,23 @@ func TestProgramRefusesOtherStores(t *testing.T) {
 	progs = compile()
 	store.AddVertex(0)
 	refused(progs, store, "its store after AddVertex")
+
+	// A one-shot Run compiles from the view, so a view read before a write
+	// to its store is refused too, not searched stale.
+	view, err := store.ReadCSR(tri, graph.EdgeInduced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Optimize(tri, store, graph.EdgeInduced, plan.ModeCSCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.InsertEdge(0, dst, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Run(view, pl, Options{}); !errors.Is(err, ErrForeignStore) {
+		t.Errorf("Run on a view read before InsertEdge: %+v, %v; want ErrForeignStore", st, err)
+	}
 }
 
 // TestProgramHoldsNoSnapshot walks everything a compiled program references
@@ -223,7 +241,7 @@ func TestProgramHoldsNoSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := Compile(view, pl)
+		prog, err := Compile(view, pl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,10 +304,10 @@ func reaches(v reflect.Value, forbidden []reflect.Type, seen map[uintptr]bool, p
 	return ""
 }
 
-// TestProgramRestrict: a restricted program finds exactly the embeddings of
-// its source program whose first order vertex maps to an accepted vertex,
-// and the pools of both are exactly sized, so a cached program retains no
-// slot it never reads.
+// TestProgramRestrict: a program compiled with a keep filter finds exactly
+// the embeddings of the unfiltered program whose first order vertex maps to
+// an accepted vertex, and the pools of both are exactly sized, so a cached
+// program retains no slot it never reads.
 func TestProgramRestrict(t *testing.T) {
 	spec, _ := dataset.ByName("Yeast")
 	g := spec.Generate()
@@ -312,11 +330,14 @@ func TestProgramRestrict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prog, err := Compile(view, pl)
+				prog, err := Compile(view, pl, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				restricted := prog.Restrict(even)
+				restricted, err := Compile(view, pl, even)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, q := range []*Program{prog, restricted} {
 					if len(q.pool) != cap(q.pool) {
 						t.Fatalf("%s: pool of %d ids in %d slots", where, len(q.pool), cap(q.pool))
@@ -338,7 +359,7 @@ func TestProgramRestrict(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got.Embeddings != want {
-					t.Fatalf("%s: restricted program found %d embeddings, %d of the source's %d start at an even vertex",
+					t.Fatalf("%s: restricted program found %d embeddings, %d of the unfiltered program's %d start at an even vertex",
 						where, got.Embeddings, want, all.Embeddings)
 				}
 			}

@@ -107,12 +107,12 @@ func TestStagedNegationShallowerThanLead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(view, pl, Options{})
-	if err != nil || e == nil {
-		t.Fatalf("engine: %v", err)
+	prog, err := Compile(view, pl, nil)
+	if err != nil || prog.levels == nil {
+		t.Fatalf("compile: %v", err)
 	}
-	st := e.levels[2].stages
-	if len(st) != 2 || st[0].negate || st[0].parentDepth != 1 || !st[1].negate || st[1].parentDepth != 0 {
+	st := prog.chain(2)
+	if len(st) != 2 || st[0].negate || st[0].depth != 1 || !st[1].negate || st[1].depth != 0 {
 		t.Fatalf("level 2 chain = %+v, want the row of depth 1 then the negation of depth 0", st)
 	}
 	if want := baseline.BruteForce(g, p, graph.VertexInduced); want == 0 {

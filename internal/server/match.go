@@ -433,14 +433,13 @@ func (b storeBackend) runOn(ctx context.Context, q *matchQuery, snap *live.Snaps
 		Context:      ctx,
 		PreparedPlan: pl,
 		Program:      prog,
-		Compile:      !hit,
 		OnEmbedding:  emit,
 		// Always profile: the slow-query log must have the per-level
 		// breakdown for queries that only reveal themselves as pathological
 		// after the fact. Costs a few counter increments per step.
 		Profile: true,
 	})
-	if res.Program != nil {
+	if !hit && res.Program != nil {
 		b.keep(key, epoch, res.Program)
 	}
 	b.m.candidateReuses.Add(res.Exec.CandidateReuses)

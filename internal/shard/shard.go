@@ -331,12 +331,13 @@ func (sh *localShard) compile(store *ccsr.Store, twigs []Twig, owners []uint16) 
 		if err != nil {
 			return nil, fmt.Errorf("shard: read twig %d clusters: %w", i, err)
 		}
-		prog, err := exec.Compile(view, tw.Plan)
+		var keep func(graph.VertexID) bool
+		if tw.Plan.Order[0] == tw.Root {
+			keep = owned
+		}
+		prog, err := exec.Compile(view, tw.Plan, keep)
 		if err != nil {
 			return nil, fmt.Errorf("shard: compile twig %d: %w", i, err)
-		}
-		if tw.Plan.Order[0] == tw.Root {
-			prog = prog.Restrict(owned)
 		}
 		tp.progs[i] = prog
 	}
