@@ -60,7 +60,7 @@ fuzz-smoke:
 # BenchmarkExtend, which performance changes cite, would otherwise rot
 # unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/shard ./internal/core ./internal/exec
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/server ./internal/shard ./internal/core ./internal/exec ./internal/ccsr
 
 ci: build vet test race bench-selftest fuzz-smoke bench-smoke
 

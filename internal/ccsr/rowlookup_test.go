@@ -81,13 +81,17 @@ func csrOf(rows []graph.VertexID) *CSR {
 	return newCSR(rows, offs, col)
 }
 
-// TestRowLookupMatchesSearch pins Row, RowLen and Has to a plain search of
-// the directory on hits and misses alike: on hand-made directory shapes
-// that stress the jump index's buckets, then on every side of a built
-// random store, of the same store after InsertEdge-driven compaction, and
-// of its Encode/Decode round trip.
-func TestRowLookupMatchesSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// rowShape is a hand-made directory that stresses the jump index.
+type rowShape struct {
+	name string
+	rows []graph.VertexID
+}
+
+// rowShapes returns the hand-made directories, the sparse one drawn from
+// rng. "clustered with one far outlier" stretches the bucket width over
+// its dense run, which leaves about 200 rows in one bucket: the shape
+// that takes Row's binary search instead of its scan.
+func rowShapes(rng *rand.Rand) []rowShape {
 	span := func(from, to, step int) []graph.VertexID {
 		var xs []graph.VertexID
 		for v := from; v < to; v += step {
@@ -100,10 +104,7 @@ func TestRowLookupMatchesSearch(t *testing.T) {
 		sparse = append(sparse, graph.VertexID(v))
 	}
 	top := ^graph.VertexID(0)
-	shapes := []struct {
-		name string
-		rows []graph.VertexID
-	}{
+	return []rowShape{
 		{"empty", nil},
 		{"one row", []graph.VertexID{37}},
 		{"one row at 0", []graph.VertexID{0}},
@@ -116,7 +117,16 @@ func TestRowLookupMatchesSearch(t *testing.T) {
 		{"ids at the top of the id space", []graph.VertexID{3 << 30, 3<<30 + 1, 3<<30 + 9, top - 1, top}},
 		{"two rows a half id space apart", []graph.VertexID{1, 1<<31 + 5}},
 	}
-	for _, sh := range shapes {
+}
+
+// TestRowLookupMatchesSearch pins Row, RowLen and Has to a plain search of
+// the directory on hits and misses alike: on hand-made directory shapes
+// that stress the jump index's buckets, then on every side of a built
+// random store, of the same store after InsertEdge-driven compaction, and
+// of its Encode/Decode round trip.
+func TestRowLookupMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range rowShapes(rng) {
 		checkRowLookups(t, sh.name, csrOf(sh.rows))
 	}
 
@@ -160,5 +170,35 @@ func checkStoreRows(t *testing.T, what string, s *Store) {
 				checkRowLookups(t, fmt.Sprintf("%s cluster %v", what, k), side)
 			}
 		}
+	}
+}
+
+// rowShapeSink keeps BenchmarkRowShapes's lookups from being optimized away.
+var rowShapeSink int
+
+// BenchmarkRowShapes prices CSR.Row on each hand-made directory shape of
+// TestRowLookupMatchesSearch, so both the bucket scan and the binary search
+// of a bucket longer than scanRows have a number. Each shape is probed at
+// its rows and at as many ids next to them (hits and misses), in shuffled
+// order.
+//
+//	go test -run '^$' -bench BenchmarkRowShapes ./internal/ccsr
+func BenchmarkRowShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range rowShapes(rng) {
+		if len(sh.rows) == 0 {
+			continue
+		}
+		c := csrOf(sh.rows)
+		var probes []graph.VertexID
+		for _, v := range sh.rows {
+			probes = append(probes, v, v+1)
+		}
+		rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rowShapeSink += len(c.Row(probes[i%len(probes)]))
+			}
+		})
 	}
 }

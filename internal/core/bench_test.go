@@ -16,7 +16,9 @@ import (
 // untraced one runs it on a bare context, so the pair is the cost of the
 // core.read, core.plan and exec.search spans. The compiled one runs each
 // pattern from a program compiled once up front, untraced, as csced does on
-// a plan-cache hit: no read, no plan, no executor build per match.
+// a plan-cache hit: no read, no plan, no executor build per match; the
+// compiled-traced one is the same under a fresh obs.Trace, which is what
+// every plan-cache hit in csced pays.
 //
 //	go test -run '^$' -bench BenchmarkEngineMatch -benchmem ./internal/core
 func BenchmarkEngineMatch(b *testing.B) {
@@ -50,21 +52,34 @@ func BenchmarkEngineMatch(b *testing.B) {
 			}
 		})
 	}
-	b.Run("compiled", func(b *testing.B) {
-		progs := make([]MatchOptions, len(patterns))
-		for i, p := range patterns {
-			res, err := e.Match(p, MatchOptions{Variant: graph.EdgeInduced})
-			if err != nil {
-				b.Fatal(err)
-			}
-			progs[i] = MatchOptions{Variant: graph.EdgeInduced, Context: context.Background(), Program: res.Program}
+	progs := make([]MatchOptions, len(patterns))
+	for i, p := range patterns {
+		res, err := e.Match(p, MatchOptions{Variant: graph.EdgeInduced})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Match(patterns[i%len(patterns)], progs[i%len(progs)]); err != nil {
-				b.Fatal(err)
-			}
+		progs[i] = MatchOptions{Variant: graph.EdgeInduced, Context: context.Background(), Program: res.Program}
+	}
+	for _, traced := range []bool{false, true} {
+		name := "compiled"
+		if traced {
+			name = "compiled-traced"
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts := progs[i%len(progs)]
+				var tr *obs.Trace
+				if traced {
+					tr = obs.NewTrace()
+					opts.Context = obs.WithTrace(opts.Context, tr)
+				}
+				if _, err := e.Match(patterns[i%len(patterns)], opts); err != nil {
+					b.Fatal(err)
+				}
+				tr.Finish("bench")
+			}
+		})
+	}
 }

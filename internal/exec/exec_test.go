@@ -477,6 +477,77 @@ func TestFactorizationCountsLeaves(t *testing.T) {
 	if st.Steps >= 50 {
 		t.Fatalf("factorization should avoid per-leaf steps, took %d", st.Steps)
 	}
+
+	// A factorized leaf that shares its label with earlier mapped vertices
+	// counts its candidates minus the peers' mappings among them: the
+	// other leaves of a same-label star always sit in its candidate list,
+	// and on a path, the vertex two hops back does when the data closes a
+	// triangle.
+	rng := rand.New(rand.NewSource(52))
+	data := randomGraph(rng, 40, 220, 2, 1, false)
+	star := graph.NewBuilder(false)
+	hub := star.AddVertex(0)
+	for i := 0; i < 4; i++ {
+		star.AddEdge(hub, star.AddVertex(1), 0)
+	}
+	tail := graph.NewBuilder(false)
+	tail.AddVertices(6, 0)
+	for i := 0; i+1 < 5; i++ {
+		tail.AddEdge(graph.VertexID(i), graph.VertexID(i+1), 0)
+	}
+	tail.AddEdge(2, 5, 0) // the tail, off the middle of the path
+	for _, c := range []struct {
+		name string
+		p    *graph.Graph
+	}{
+		{"same-label star", star.MustBuild()},
+		{"same-label path", graph.Path(4, 0)},
+		{"same-label path with a tail", tail.MustBuild()},
+	} {
+		peered := false
+		for _, variant := range []graph.Variant{graph.EdgeInduced, graph.VertexInduced, graph.Homomorphic} {
+			want := baseline.BruteForce(data, c.p, variant)
+			got := countCSCE(t, data, c.p, variant, Options{})
+			unfactorized := countCSCE(t, data, c.p, variant, Options{DisableFactorization: true})
+			if got.Embeddings != want || unfactorized.Embeddings != want {
+				t.Fatalf("%s %v: factorized %d, unfactorized %d, brute force %d", c.name, variant, got.Embeddings, unfactorized.Embeddings, want)
+			}
+			if want == 0 {
+				t.Fatalf("%s %v: no embeddings, so nothing is checked", c.name, variant)
+			}
+			if variant.Injective() && got.FactorizedLevels > 0 && hasFactorizedPeer(t, data, c.p, variant) {
+				peered = true
+			}
+		}
+		if !peered {
+			t.Fatalf("%s: no injective run factorized a level with earlier same-label depths", c.name)
+		}
+	}
+}
+
+// hasFactorizedPeer reports whether p's compiled program under variant has
+// a factorizable level with an earlier depth of the same label.
+func hasFactorizedPeer(t *testing.T, g, p *graph.Graph, variant graph.Variant) bool {
+	t.Helper()
+	store := ccsr.Build(g)
+	pl, err := plan.Optimize(p, store, variant, plan.ModeCSCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := store.ReadCSR(p, variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(view, pl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range prog.levels {
+		if lv.factorizable && lv.prevSame >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestThroughputMetric(t *testing.T) {

@@ -50,6 +50,7 @@ type progStage struct {
 type progLevel struct {
 	end          int32
 	necAlias     int32
+	prevSame     int32 // the deepest earlier depth with this level's label, or -1
 	factorizable bool
 }
 
@@ -107,19 +108,25 @@ func Compile(view *ccsr.View, pl *plan.Plan, keep func(graph.VertexID) bool) (*P
 		return nil, errInternal("order position %d (u%d) has no earlier pattern neighbor", unled, pl.Order[unled])
 	}
 
-	// Factorization eligibility (see package comment), from the deepest
-	// level up, so laterLabels counts the labels of the later vertices.
-	laterLabels := make(map[graph.Label]int)
+	// Factorization eligibility (see package comment) and the same-label
+	// links, from the deepest level up: at depth d, shallowest[l] is 1 + the
+	// shallowest depth after d with label l, or 0 when no later vertex has
+	// label l.
+	shallowest := make(map[graph.Label]int32)
 	for d := n - 1; d >= 0; d-- {
 		u := pl.Order[d]
 		lv := &levels[d]
+		lv.prevSame = -1
 		if pl.DAG != nil {
 			lv.factorizable = len(pl.DAG.Out(int(u))) == 0
 		}
-		if pl.Variant.Injective() && laterLabels[p.Label(u)] > 0 {
-			lv.factorizable = false
+		if later := shallowest[p.Label(u)]; later > 0 {
+			levels[later-1].prevSame = int32(d)
+			if pl.Variant.Injective() {
+				lv.factorizable = false
+			}
 		}
-		laterLabels[p.Label(u)]++
+		shallowest[p.Label(u)] = int32(d) + 1
 	}
 
 	pool, err := buildPool(view, pl, keep)
@@ -389,6 +396,7 @@ func (p *Program) Run(store *ccsr.Store, opts Options) (Stats, error) {
 		lv.label = p.pl.Pattern.Label(lv.u)
 		lv.stages = slab[lo:pv.end:pv.end]
 		lv.necAlias = int(pv.necAlias)
+		lv.prevSame = int(pv.prevSame)
 		lv.factorizable = pv.factorizable
 		lo = pv.end
 	}
